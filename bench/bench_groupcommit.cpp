@@ -9,7 +9,11 @@
 //                 pays its own persist fences at the store sites.
 //   groupcommit — out-of-place build + single publish fence in the core,
 //                 ack lines deferred through AckBatch and fenced once per
-//                 commit window across all connections.
+//                 group commit across all connections. The committer fences
+//                 as soon as no mutation batch is open, at the latest one
+//                 commit window after the first pending submission; with 16
+//                 clients some batch is nearly always open, so fences still
+//                 fill up.
 //
 // The headline metric is total pmem fences divided by client-issued
 // mutations (reader-forced persists included — it is the honest whole-store
@@ -18,7 +22,7 @@
 //
 // Knobs: UPSL_BENCH_RECORDS (default 20000), UPSL_BENCH_OPS (default 40000),
 // UPSL_SERVER_CLIENTS (default 16), UPSL_SERVER_DEPTH (default 8),
-// UPSL_COMMIT_WINDOW_US (committer window, default 50).
+// UPSL_COMMIT_WINDOW_US (upper bound on the committer window, default 50).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -296,8 +300,8 @@ int main() {
                    reduction);
       all_ok = false;
     }
-    // p999 must not regress beyond noise + the commit window the batches
-    // deliberately wait out.
+    // p999 must not regress beyond noise + the commit window a batch may
+    // wait for company.
     const double p999_base = static_cast<double>(base.wl.latency.p999_ns());
     const double p999_gc = static_cast<double>(gc.wl.latency.p999_ns());
     const double allowed = p999_base * 1.5 + 2.0 * 1000.0 * window_us;

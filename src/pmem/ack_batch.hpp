@@ -7,7 +7,7 @@
 // before the operation is acknowledged to a client. Those lines need no
 // ordering among themselves, so they can ride one deferred flush + fence per
 // *batch* of operations — or, with the server's group commit, one fence per
-// commit window across all connections.
+// group commit across all connections.
 //
 // AckBatch is that deferral scope. While a thread has an AckBatch open,
 // ack_persist() records the covered lines instead of flushing; the scope

@@ -44,6 +44,8 @@ struct StatsSnapshot {
   std::uint64_t group_commits = 0;
   std::uint64_t group_commit_mutations = 0;
   std::uint64_t group_commit_hist[kGroupCommitBuckets] = {};
+  std::uint64_t group_commits_early = 0;
+  std::uint64_t group_commits_window_expired = 0;
   std::uint64_t checksum_failures = 0;
   std::uint64_t quarantined_nodes = 0;
   std::uint64_t quarantined_blocks = 0;
@@ -68,6 +70,9 @@ struct StatsSnapshot {
                     group_commit_mutations - t0.group_commit_mutations};
     for (std::size_t i = 0; i < kGroupCommitBuckets; ++i)
       d.group_commit_hist[i] = group_commit_hist[i] - t0.group_commit_hist[i];
+    d.group_commits_early = group_commits_early - t0.group_commits_early;
+    d.group_commits_window_expired =
+        group_commits_window_expired - t0.group_commits_window_expired;
     d.checksum_failures = checksum_failures - t0.checksum_failures;
     d.quarantined_nodes = quarantined_nodes - t0.quarantined_nodes;
     d.quarantined_blocks = quarantined_blocks - t0.quarantined_blocks;
@@ -111,6 +116,9 @@ struct StatsSnapshot {
            field("group_commits", group_commits) + ", " +
            field("group_commit_mutations", group_commit_mutations) + ", " +
            "\"group_commit_batch_hist\": " + hist + ", " +
+           field("group_commits_early", group_commits_early) + ", " +
+           field("group_commits_window_expired",
+                 group_commits_window_expired) + ", " +
            field("checksum_failures", checksum_failures) + ", " +
            field("quarantined_nodes", quarantined_nodes) + ", " +
            field("quarantined_blocks", quarantined_blocks) + ", " +
@@ -151,10 +159,14 @@ struct Stats {
   /// Group commit (docs/write-path.md): commits = fences the committer
   /// issued, mutations = operations whose ack rode one of those fences, and
   /// a batch-size histogram so "fences per mutation" is explainable (a fleet
-  /// of singleton commits amortizes nothing).
+  /// of singleton commits amortizes nothing). Every commit is also either
+  /// early (no mutation batch was open, so it fenced before the window
+  /// ran out) or window-expired (batches were still open at the deadline).
   std::atomic<std::uint64_t> group_commits{0};
   std::atomic<std::uint64_t> group_commit_mutations{0};
   std::atomic<std::uint64_t> group_commit_hist[StatsSnapshot::kGroupCommitBuckets]{};
+  std::atomic<std::uint64_t> group_commits_early{0};
+  std::atomic<std::uint64_t> group_commits_window_expired{0};
   /// Integrity layer (docs/integrity.md): CRC32C stamp mismatches observed
   /// on any durable surface, and the damage recovery routed into quarantine
   /// (lost node key-ranges, deliberately leaked allocator blocks, zeroed
@@ -176,9 +188,12 @@ struct Stats {
     return s;
   }
 
-  /// Record one group commit covering `mutations` acknowledged operations.
-  void note_group_commit(std::uint64_t mutations) {
+  /// Record one group commit covering `mutations` acknowledged operations;
+  /// `early` = it fenced before its window expired.
+  void note_group_commit(std::uint64_t mutations, bool early) {
     group_commits.fetch_add(1, std::memory_order_relaxed);
+    (early ? group_commits_early : group_commits_window_expired)
+        .fetch_add(1, std::memory_order_relaxed);
     group_commit_mutations.fetch_add(mutations, std::memory_order_relaxed);
     std::size_t b = 0;
     for (std::uint64_t bound = 1;
@@ -204,6 +219,9 @@ struct Stats {
     for (std::size_t i = 0; i < StatsSnapshot::kGroupCommitBuckets; ++i)
       s.group_commit_hist[i] =
           group_commit_hist[i].load(std::memory_order_relaxed);
+    s.group_commits_early = group_commits_early.load(std::memory_order_relaxed);
+    s.group_commits_window_expired =
+        group_commits_window_expired.load(std::memory_order_relaxed);
     s.checksum_failures = checksum_failures.load(std::memory_order_relaxed);
     s.quarantined_nodes = quarantined_nodes.load(std::memory_order_relaxed);
     s.quarantined_blocks = quarantined_blocks.load(std::memory_order_relaxed);
@@ -231,6 +249,8 @@ struct Stats {
     group_commits.store(0, std::memory_order_relaxed);
     group_commit_mutations.store(0, std::memory_order_relaxed);
     for (auto& h : group_commit_hist) h.store(0, std::memory_order_relaxed);
+    group_commits_early.store(0, std::memory_order_relaxed);
+    group_commits_window_expired.store(0, std::memory_order_relaxed);
     checksum_failures.store(0, std::memory_order_relaxed);
     quarantined_nodes.store(0, std::memory_order_relaxed);
     quarantined_blocks.store(0, std::memory_order_relaxed);

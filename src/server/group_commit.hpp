@@ -4,11 +4,18 @@
 // flushes into an AckBatch (pmem/ack_batch.hpp). Instead of fencing per
 // batch, the worker hands the lines to this committer with submit() and
 // receives a monotonically increasing ticket. A dedicated committer thread
-// accumulates submissions for a short window (UPSL_COMMIT_WINDOW_US),
-// dedupes the cache lines across *all* of them, flushes once and issues one
-// fence; committed() then covers every ticket up to the batch's highest.
-// Acks release only after the covering fence retires — so N connections'
-// mutations share one SFENCE instead of paying N.
+// accumulates submissions, dedupes the cache lines across *all* of them,
+// flushes once and issues one fence; committed() then covers every ticket up
+// to the batch's highest. Acks release only after the covering fence retires
+// — so N connections' mutations share one SFENCE instead of paying N.
+//
+// The window (UPSL_COMMIT_WINDOW_US) is an upper bound, not a fixed delay.
+// Workers bracket each mutation batch with open_batch()/close_batch()
+// (BatchScope); once something is pending, the committer fences as soon as
+// no batch is open — nothing else can join this fence — and otherwise at
+// the latest window_us after it woke for the first pending submission. A
+// lone closed-loop client therefore pays no window at all, while a busy
+// server (some batch always mid-execution) still batches up to the window.
 //
 // The class is deliberately standalone (no epoll types) so the crash-torture
 // harness can drive the same commit protocol against a simulated-crash
@@ -89,17 +96,40 @@ class GroupCommit {
     if (committer_.joinable()) committer_.join();
   }
 
+  /// Mark one mutation batch as executing: its submission is on the way, so
+  /// the committer holds the pending fence for it (up to the window).
+  void open_batch() { open_.fetch_add(1); }
+
+  /// The batch opened by open_batch() has submitted (or given up). Closing
+  /// the last open batch wakes the committer, but only if something is
+  /// pending — a batch that ends with nothing to commit costs one atomic.
+  void close_batch() {
+    // seq_cst on open_ and submitted_: either the committer sees this
+    // close, or this close sees the submission the committer is holding.
+    if (open_.fetch_sub(1) == 1 && submitted_.load() > committed()) {
+      // Taking the mutex orders this wake after the committer's predicate
+      // check, so it cannot slip between that check and its sleep.
+      { std::lock_guard<std::mutex> lk(mu_); }
+      cv_.notify_all();
+    }
+  }
+
   /// Enqueue `mutations` operations whose ack waits on `lines` being
   /// durable. Returns the ticket the caller's acks must wait for.
   std::uint64_t submit(std::vector<const void*> lines,
                        std::uint64_t mutations) {
     std::uint64_t seq;
+    bool first;
     {
       std::lock_guard<std::mutex> lk(mu_);
-      seq = ++submitted_;
+      seq = submitted_.load(std::memory_order_relaxed) + 1;
+      submitted_.store(seq);
+      first = pending_.empty();
       pending_.push_back({std::move(lines), mutations, seq});
     }
-    cv_.notify_all();
+    // Only the first pending submission starts the committer; later ones
+    // cannot change its window predicate (close_batch() does).
+    if (first) cv_.notify_all();
     return seq;
   }
 
@@ -121,11 +151,7 @@ class GroupCommit {
 
   /// Wait until everything submitted so far is durable (drain path).
   void barrier() {
-    std::uint64_t target;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      target = submitted_;
-    }
+    const std::uint64_t target = submitted_.load();
     if (target > 0) wait_durable(target);
   }
 
@@ -146,28 +172,28 @@ class GroupCommit {
   void committer_main() {
     std::vector<Pending> batch;
     while (true) {
+      bool early = true;
       {
         std::unique_lock<std::mutex> lk(mu_);
         cv_.wait(lk, [this] { return stop_ || !pending_.empty(); });
         if (pending_.empty()) return;  // stop_ set and nothing left
-      }
-      if (window_us_ > 0) {
-        // Accumulation window: let other connections' batches pile onto
-        // this fence. A pending shutdown skips the wait.
-        std::unique_lock<std::mutex> lk(mu_);
-        cv_.wait_for(lk, std::chrono::microseconds(window_us_),
-                     [this] { return stop_; });
-      }
-      {
-        std::lock_guard<std::mutex> lk(mu_);
+        if (window_us_ > 0) {
+          // Accumulation window, as an upper bound: while some worker is
+          // mid-way through a mutation batch, its submission can still join
+          // this fence. Fence as soon as none is open; a pending shutdown
+          // skips the wait.
+          early = cv_.wait_for(lk, std::chrono::microseconds(window_us_),
+                               [this] { return stop_ || open_.load() == 0; });
+        }
         batch.swap(pending_);
       }
-      if (!batch.empty()) commit_batch(batch);
+      // abandon() may have emptied pending_ while the window ran.
+      if (!batch.empty()) commit_batch(batch, early);
       batch.clear();
     }
   }
 
-  void commit_batch(std::vector<Pending>& batch) {
+  void commit_batch(std::vector<Pending>& batch, bool early) {
     // Cross-connection line dedupe: two clients updating values in the same
     // node within one window flush that line once.
     std::vector<const void*> lines;
@@ -186,7 +212,7 @@ class GroupCommit {
     if (!lines.empty()) pmem::flush_lines(lines.data(), lines.size());
     pmem::fence();
     auto& st = pmem::Stats::instance();
-    st.note_group_commit(mutations);
+    st.note_group_commit(mutations, early);
     if (deduped > 0)
       st.coalesced_lines_saved.fetch_add(deduped, std::memory_order_relaxed);
     committed_.store(batch.back().seq, std::memory_order_release);
@@ -205,10 +231,41 @@ class GroupCommit {
   std::condition_variable done_cv_;  // commit -> waiters
   std::vector<Pending> pending_;
   std::vector<int> notify_fds_;
-  std::uint64_t submitted_ = 0;
+  std::atomic<int> open_{0};  // mutation batches between open and close
+  std::atomic<std::uint64_t> submitted_{0};  // written under mu_
   std::atomic<std::uint64_t> committed_{0};
   bool stop_ = false;
   std::thread committer_;
+};
+
+/// RAII bracket around one mutation batch: open() on the first mutation
+/// (idempotent), close on destruction or after submit — so every exit path
+/// of the batch, including errors and exceptions, closes it. A null
+/// committer makes it a no-op.
+class BatchScope {
+ public:
+  explicit BatchScope(GroupCommit* gc) : gc_(gc) {}
+  BatchScope(const BatchScope&) = delete;
+  BatchScope& operator=(const BatchScope&) = delete;
+  ~BatchScope() { close(); }
+
+  void open() {
+    if (gc_ != nullptr && !open_) {
+      gc_->open_batch();
+      open_ = true;
+    }
+  }
+
+  void close() {
+    if (open_) {
+      open_ = false;
+      gc_->close_batch();
+    }
+  }
+
+ private:
+  GroupCommit* gc_;
+  bool open_ = false;
 };
 
 }  // namespace upsl::server

@@ -526,6 +526,12 @@ bool Server::execute_batch(Worker& w, Conn& c) {
   // batch is CPU-global, so durability does not depend on which shard's
   // committer issues it.
   pmem::AckBatch ab;
+  // Opened at the first mutation, closed right after submit or on any early
+  // return: while it is open the committer holds its pending fence for this
+  // batch's lines (at most the commit window); once no batch is open it
+  // fences at once.
+  GroupCommit* gc = shard_gc(w);
+  BatchScope open_batch(gc);
   while (executed < opts_.max_batch) {
     Request req;
     std::size_t consumed = 0;
@@ -547,7 +553,10 @@ bool Server::execute_batch(Worker& w, Conn& c) {
     // responses, releasable by definition.
     const bool allow_stream = mutations == 0 && c.pending_acks.empty();
     execute_one(w, c, req, c.out, &op_mutated, allow_stream);
-    if (op_mutated) ++mutations;
+    if (op_mutated) {
+      ++mutations;
+      open_batch.open();
+    }
     if (c.fd < 0) return false;  // a streaming flush hit a dead socket
   }
   if (off > 0) c.in.erase(c.in.begin(), c.in.begin() + off);
@@ -555,13 +564,13 @@ bool Server::execute_batch(Worker& w, Conn& c) {
 
   stats_.frames.fetch_add(executed, std::memory_order_relaxed);
   stats_.batches.fetch_add(1, std::memory_order_relaxed);
-  GroupCommit* gc = shard_gc(w);
   if (mutations > 0) {
     if (gc != nullptr) {
       // Group commit: hand the deferred lines to the committer and park
       // this batch's response bytes behind the returned ticket. The
       // eventfd wakeup releases them once the covering fence retires.
       const std::uint64_t ticket = gc->submit(ab.take_lines(), mutations);
+      open_batch.close();
       c.pending_acks.emplace_back(ticket, c.out.size());
       stats_.group_commit_batches.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -1509,7 +1518,12 @@ std::string Server::stats_json() const {
           ", ";
   json += std::string("\"mod_writes\": ") +
           (pmem::mod_writes_enabled() ? "true" : "false") + ", ";
-  json += u64("window_us", window_us_);
+  json += u64("window_us", window_us_) + ", ";
+  // Process-global like the "pmem" rollup: commits that fenced as soon as
+  // no mutation batch was open vs. ones that ran the full window.
+  const pmem::StatsSnapshot pm = pmem::Stats::instance().snapshot();
+  json += u64("early_commits", pm.group_commits_early) + ", ";
+  json += u64("window_expired_commits", pm.group_commits_window_expired);
   json += "}, ";
   // Open-time integrity verdict, merged across shards (docs/integrity.md):
   // what recovery detected and quarantined when these stores attached. The
@@ -1518,7 +1532,7 @@ std::string Server::stats_json() const {
   core::IntegrityReport integ;
   for (const core::UPSkipList* st : stores_) integ.merge(st->integrity());
   json += "\"integrity\": " + integ.to_json() + ", ";
-  json += "\"pmem\": " + pmem::Stats::instance().snapshot().to_json();
+  json += "\"pmem\": " + pm.to_json();
   json += "}";
   return json;
 }

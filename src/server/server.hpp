@@ -85,8 +85,11 @@ struct ServerOptions {
   /// the covering fence retires. UPSL_DISABLE_GROUP_COMMIT=1 overrides this
   /// to off.
   bool group_commit = true;
-  /// How long the committer accumulates batches before fencing, in
-  /// microseconds. UPSL_COMMIT_WINDOW_US overrides.
+  /// Upper bound, in microseconds, on how long the committer holds a
+  /// pending fence open for other batches to join. It fences earlier, as
+  /// soon as no worker is mid-way through a mutation batch, so this bounds
+  /// the worst-case ack delay rather than adding a fixed one.
+  /// UPSL_COMMIT_WINDOW_US overrides.
   std::uint32_t commit_window_us = 50;
   /// Pin each shard's workers to that shard's CPU group (hardware threads
   /// split evenly across shards, approximating one NUMA node per shard).

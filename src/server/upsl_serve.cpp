@@ -246,10 +246,12 @@ int main(int argc, char** argv) {
   }
   if (pm.group_commits > 0) {
     std::printf("upsl-serve: %llu group commits covered %llu mutations "
-                "(%.3f fences/mutation)\n",
+                "(%.3f fences/mutation; %llu early, %llu window-expired)\n",
                 static_cast<unsigned long long>(pm.group_commits),
                 static_cast<unsigned long long>(pm.group_commit_mutations),
-                pm.fences_per_mutation());
+                pm.fences_per_mutation(),
+                static_cast<unsigned long long>(pm.group_commits_early),
+                static_cast<unsigned long long>(pm.group_commits_window_expired));
   }
   return 0;
 }

@@ -290,9 +290,10 @@ class Uring {
 /// rejects the IORING_ACCEPT_MULTISHOT flag). The multishot check must be
 /// functional: REGISTER_PROBE only reports opcodes, and IORING_OP_ACCEPT
 /// itself predates the flag. So arm a multishot accept on a private loopback
-/// listener nobody ever connects to: a supporting kernel parks the op (the
-/// short wait times out with no CQE); an older one completes it immediately
-/// with -EINVAL.
+/// listener nobody ever connects to: a supporting kernel parks the op (no
+/// CQE); an older one rejects the flag while preparing the SQE, so its
+/// -EINVAL CQE is already posted when the submit returns. No wait is needed
+/// — waiting would only sit out the timeout on every supporting kernel.
 inline bool io_uring_available() {
   Uring probe;
   if (!probe.init(8) || (probe.features() & IORING_FEAT_EXT_ARG) == 0)
@@ -311,7 +312,7 @@ inline bool io_uring_available() {
     ok = sqe != nullptr;
     if (ok) {
       Uring::prep_accept_multishot(sqe, fd, 1);
-      probe.submit_and_wait(1, 10);
+      probe.submit_and_wait(0, 0);
       io_uring_cqe cqe;
       if (probe.reap(&cqe, 1) == 1 && cqe.res < 0) ok = false;
     }

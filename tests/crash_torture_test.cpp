@@ -106,15 +106,19 @@ IterOutcome run_iteration(std::uint64_t seed, pmem::CrashMode first_mode,
   // with the crash (abandon) like the server process would.
   std::unique_ptr<server::GroupCommit> gc;
   if (group_commit) gc = std::make_unique<server::GroupCommit>(20);
-  // Run one mutation under the commit protocol: defer ack lines, submit,
-  // wait for the covering fence. wait_durable throws CrashException when a
-  // simulated crash quiesces the run, leaving the op unacked (in-flight).
+  // Run one mutation under the commit protocol: open a batch (as the
+  // server does, so the committer holds its fence for in-flight siblings),
+  // defer ack lines, submit, close, wait for the covering fence.
+  // wait_durable throws CrashException when a simulated crash quiesces the
+  // run, leaving the op unacked (in-flight).
   auto mutate = [&](auto&& op) -> std::optional<std::uint64_t> {
     if (gc == nullptr) return op();
     std::optional<std::uint64_t> r;
     std::uint64_t ticket;
     {
+      server::BatchScope open_batch(gc.get());
       pmem::AckBatch ab;
+      open_batch.open();
       r = op();
       ticket = gc->submit(ab.take_lines(), 1);
     }
@@ -323,7 +327,9 @@ IterOutcome run_sharded_iteration(std::uint64_t seed, pmem::CrashMode first_mode
     std::optional<std::uint64_t> r;
     std::uint64_t ticket;
     {
+      server::BatchScope open_batch(gc);
       pmem::AckBatch ab;
+      open_batch.open();
       r = op();
       ticket = gc->submit(ab.take_lines(), 1);
     }
@@ -579,7 +585,9 @@ IterOutcome run_detect_iteration(std::uint64_t seed) {
         const std::size_t first = log.ops.size();
         std::uint64_t ticket;
         {
+          server::BatchScope open_batch(gc.get());
           pmem::AckBatch ab;
+          open_batch.open();
           for (int i = 0; i < k; ++i) {
             IssuedOp op;
             op.seq = ++seq;
@@ -924,6 +932,19 @@ CorruptionOutcome run_corruption_iteration(std::uint64_t seed,
   return out;
 }
 
+/// Group commits since `t0` whose fence covered more than `per_submit`
+/// mutations — with every submission carrying at most `per_submit`, each of
+/// them batched more than one submission (pmem::Stats' batch-size
+/// histogram: bucket i holds commits of <= 2^i mutations).
+std::uint64_t multi_submission_commits(const pmem::StatsSnapshot& t0,
+                                       std::uint64_t per_submit) {
+  const pmem::StatsSnapshot d = pmem::Stats::instance().snapshot() - t0;
+  std::uint64_t n = 0;
+  for (std::size_t i = 0; i < pmem::StatsSnapshot::kGroupCommitBuckets; ++i)
+    if ((std::uint64_t{1} << i) > per_submit) n += d.group_commit_hist[i];
+  return n;
+}
+
 /// Runs `iters` seeded iterations under `mode` and reports the failing seed
 /// (the CI greps for "failing seed" on error).
 void run_shard(const char* shard, std::uint64_t seed_base,
@@ -938,6 +959,7 @@ void run_shard(const char* shard, std::uint64_t seed_base,
       explicit_seed ? env_u64("UPSL_TORTURE_SEED0", 1) : 1 + seed_base;
   std::uint64_t fired = 0;
   std::uint64_t nested_fired = 0;
+  const pmem::StatsSnapshot stats0 = pmem::Stats::instance().snapshot();
   for (std::uint64_t i = 0; i < iters; ++i) {
     const std::uint64_t seed = seed0 + i;
     SCOPED_TRACE(std::string(shard) + " iteration " + std::to_string(i) +
@@ -969,6 +991,14 @@ void run_shard(const char* shard, std::uint64_t seed_base,
     EXPECT_GT(nested_fired, 0u)
         << "recovery-path crash never fired across " << iters
         << " iterations";
+    // Workers bracket each mutation as an open batch, so the committer
+    // still holds a fence for in-flight siblings: some fences must cover
+    // more than one single-op submission.
+    if (group_commit) {
+      EXPECT_GT(multi_submission_commits(stats0, 1), 0u)
+          << "no group commit batched two submissions across " << iters
+          << " iterations";
+    }
   }
 }
 
@@ -1029,6 +1059,7 @@ TEST(CrashTorture, DiscardModeDetectableSessions) {
   const std::uint64_t seed0 =
       explicit_seed ? env_u64("UPSL_TORTURE_SEED0", 1) : 1 + 700'000;
   std::uint64_t fired = 0;
+  const pmem::StatsSnapshot stats0 = pmem::Stats::instance().snapshot();
   for (std::uint64_t i = 0; i < iters; ++i) {
     const std::uint64_t seed = seed0 + i;
     SCOPED_TRACE("discard-detect iteration " + std::to_string(i) + " seed " +
@@ -1048,6 +1079,13 @@ TEST(CrashTorture, DiscardModeDetectableSessions) {
   EXPECT_GE(fired * 5, iters * 4)
       << "main crash fired in only " << fired << "/" << iters
       << " iterations";
+  // Submissions carry 1-4 ops, so a fence over more than 4 mutations
+  // batched at least two of them.
+  if (iters >= 20) {
+    EXPECT_GT(multi_submission_commits(stats0, 4), 0u)
+        << "no group commit batched two submissions across " << iters
+        << " iterations";
+  }
 }
 
 // Corruption-torture shard: crash + seeded medium strike on a stamp-covered

@@ -434,11 +434,11 @@ TEST_F(AckBatchTest, NestedScopesRestoreTheOuterOne) {
 
 TEST(Persist, GroupCommitHistogramBuckets) {
   Stats::instance().reset();
-  Stats::instance().note_group_commit(1);
-  Stats::instance().note_group_commit(2);
-  Stats::instance().note_group_commit(5);
-  Stats::instance().note_group_commit(16);
-  Stats::instance().note_group_commit(40);
+  Stats::instance().note_group_commit(1, /*early=*/true);
+  Stats::instance().note_group_commit(2, /*early=*/true);
+  Stats::instance().note_group_commit(5, /*early=*/false);
+  Stats::instance().note_group_commit(16, /*early=*/true);
+  Stats::instance().note_group_commit(40, /*early=*/false);
   const StatsSnapshot s = Stats::instance().snapshot();
   EXPECT_EQ(s.group_commits, 5u);
   EXPECT_EQ(s.group_commit_mutations, 64u);
@@ -447,8 +447,13 @@ TEST(Persist, GroupCommitHistogramBuckets) {
   EXPECT_EQ(s.group_commit_hist[3], 1u);  // <=8 (5 lands here)
   EXPECT_EQ(s.group_commit_hist[4], 1u);  // <=16
   EXPECT_EQ(s.group_commit_hist[5], 1u);  // >16
+  EXPECT_EQ(s.group_commits_early, 3u);
+  EXPECT_EQ(s.group_commits_window_expired, 2u);
   EXPECT_NEAR(s.fences_per_mutation(), 5.0 / 64.0, 1e-9);
   EXPECT_NE(s.to_json().find("group_commit_batch_hist"), std::string::npos);
+  EXPECT_NE(s.to_json().find("\"group_commits_early\": 3"), std::string::npos);
+  EXPECT_NE(s.to_json().find("\"group_commits_window_expired\": 2"),
+            std::string::npos);
 }
 
 TEST(Persist, PersistCountsItsFence) {

@@ -18,6 +18,7 @@
 #include <thread>
 
 #include "server/client.hpp"
+#include "server/group_commit.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "test_util.hpp"
@@ -650,12 +651,94 @@ TEST(ServerLoopback, UnackedInFlightWriteIsAtomicAcrossCrash) {
 
 // ---- cross-connection group commit ----------------------------------------
 
+using std::chrono::milliseconds;
+using std::chrono::steady_clock;
+
+/// Polls until ticket `seq` is committed; false if `ms` pass first.
+bool committed_within(const GroupCommit& gc, std::uint64_t seq, int ms) {
+  const auto deadline = steady_clock::now() + milliseconds(ms);
+  while (gc.committed() < seq) {
+    if (steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
+/// The number after `"key": ` in a flat JSON text; 0 when absent.
+std::uint64_t json_u64(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  const std::size_t at = json.find(needle);
+  if (at == std::string::npos) return 0;
+  return std::strtoull(json.c_str() + at + needle.size(), nullptr, 10);
+}
+
+// The commit window is an upper bound: with no mutation batch open, nothing
+// else can join the fence, so the committer must not sit out the window.
+TEST(GroupCommitRule, NoOpenBatchCommitsWellInsideTheWindow) {
+  GroupCommit gc(200000);  // 200 ms
+  const std::uint64_t early0 =
+      pmem::Stats::instance().snapshot().group_commits_early;
+  const std::uint64_t t = gc.submit({}, 1);
+  EXPECT_TRUE(committed_within(gc, t, 20))
+      << "a lone submission waited for the 200 ms window";
+  EXPECT_GT(pmem::Stats::instance().snapshot().group_commits_early, early0);
+}
+
+TEST(GroupCommitRule, OpenBatchHoldsTheFenceUntilItSubmitsAndCloses) {
+  GroupCommit gc(200000);
+  gc.open_batch();  // a worker mid-way through a mutation batch
+  const std::uint64_t other = gc.submit({}, 1);
+  std::this_thread::sleep_for(milliseconds(30));
+  EXPECT_LT(gc.committed(), other)
+      << "fenced while a batch that could join was still open";
+  const std::uint64_t mine = gc.submit({}, 2);
+  EXPECT_LT(gc.committed(), other) << "submit alone must not close the batch";
+  gc.close_batch();
+  EXPECT_TRUE(committed_within(gc, mine, 20))
+      << "closing the last open batch did not release the fence";
+  EXPECT_GE(gc.committed(), other);
+}
+
+TEST(GroupCommitRule, WindowExpiryCommitsPastABatchThatNeverCloses) {
+  GroupCommit gc(30000);  // 30 ms
+  const std::uint64_t expired0 =
+      pmem::Stats::instance().snapshot().group_commits_window_expired;
+  BatchScope holder(&gc);
+  holder.open();  // never submits; closes only when the test ends
+  const auto t0 = steady_clock::now();
+  const std::uint64_t t = gc.submit({}, 1);
+  ASSERT_TRUE(committed_within(gc, t, 2000))
+      << "an open batch must delay the fence by at most the window";
+  EXPECT_GE(steady_clock::now() - t0, milliseconds(29));
+  EXPECT_GT(pmem::Stats::instance().snapshot().group_commits_window_expired,
+            expired0);
+}
+
+TEST(ServerLoopback, LoneConnectionDoesNotWaitOutTheCommitWindow) {
+  test::ScopedEnv win("UPSL_COMMIT_WINDOW_US", "200000");
+  ServerFixture f;
+  Client c = f.connect();
+  ASSERT_TRUE(c.ping());
+  std::vector<Response> resp;
+  for (std::uint64_t k = 1; k <= 16; ++k) c.queue({Opcode::kPut, k, k});
+  const auto t0 = steady_clock::now();
+  c.flush(&resp);
+  const auto rtt = steady_clock::now() - t0;
+  ASSERT_EQ(resp.size(), 16u);
+  for (const Response& r : resp) EXPECT_EQ(r.status, Status::kCreated);
+  EXPECT_LT(rtt, milliseconds(50))
+      << "16 PUTs took "
+      << std::chrono::duration_cast<milliseconds>(rtt).count()
+      << " ms: the committer waited out its 200 ms window";
+}
+
 TEST(ServerLoopback, GroupCommitStatsSurfaceInStatsVerb) {
   if (std::getenv("UPSL_DISABLE_GROUP_COMMIT") != nullptr)
     GTEST_SKIP() << "group commit disabled by env";
   ServerFixture f;
   ASSERT_TRUE(f.srv->group_commit_enabled());
   Client c = f.connect();
+  const std::string before = c.stats_json();
   std::vector<Response> resp;
   for (std::uint64_t k = 1; k <= 64; ++k) c.queue({Opcode::kPut, k, k});
   c.flush(&resp);
@@ -668,6 +751,24 @@ TEST(ServerLoopback, GroupCommitStatsSurfaceInStatsVerb) {
   EXPECT_NE(stats.find("group_commit_batches"), std::string::npos) << stats;
   EXPECT_NE(stats.find("group_commit_batch_hist"), std::string::npos)
       << stats;
+  // Every commit is early or window-expired. A single connection never has
+  // a second batch open, so its commits all fire early.
+  EXPECT_NE(stats.find("\"window_expired_commits\""), std::string::npos)
+      << stats;
+  EXPECT_NE(stats.find("\"group_commits_window_expired\""),
+            std::string::npos)
+      << stats;
+  const std::uint64_t early =
+      json_u64(stats, "early_commits") - json_u64(before, "early_commits");
+  const std::uint64_t expired = json_u64(stats, "window_expired_commits") -
+                                json_u64(before, "window_expired_commits");
+  const std::uint64_t commits = json_u64(stats, "group_commits") -
+                                json_u64(before, "group_commits");
+  EXPECT_GE(early, 1u) << stats;
+  EXPECT_EQ(early + expired, commits) << stats;
+  EXPECT_EQ(json_u64(stats, "early_commits"),
+            json_u64(stats, "group_commits_early"))
+      << "STATS group_commit and pmem sections disagree: " << stats;
 }
 
 TEST(ServerLoopback, GroupCommitKillSwitchFallsBackToBatchFences) {
