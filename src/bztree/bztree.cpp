@@ -139,7 +139,9 @@ std::uint64_t BzTree::find_leaf(std::uint64_t key,
     if (n->is_leaf != 0) return off;
     // Internal nodes are immutable and fully sorted: binary search for the
     // first separator >= key; its child covers the key.
-    const auto cnt = n->count(pm_load(n->status));
+    // PMwCAS-aware: an in-flight child swap parks a descriptor pointer in
+    // the status word, whose low bits are not a record count.
+    const auto cnt = n->count(descs_->read(&n->status));
     std::uint32_t lo = 0;
     std::uint32_t hi = cnt - 1;  // last separator is always UINT64_MAX
     while (lo < hi) {
@@ -419,6 +421,14 @@ bool BzTree::replace_child(
     smo_internal(tail.node_off, ppath);
     return false;
   }
+  // Freeze the old parent *before* copying it, and in the same PMwCAS check
+  // that the child is still ours. In-place child swaps keep the status word
+  // unchanged, so freezing after the copy could silently drop a swap that
+  // landed in between (and the records inserted into the swapped-in leaf).
+  if (!descs_->mwcas({{&parent->status, pstatus, pstatus | kFrozenBit},
+                      {&parent->values()[tail.child_idx], old_child,
+                       old_child}}))
+    return false;
   const std::uint64_t fresh = alloc_node(cfg_.internal_capacity, false);
   Node* f = node_at(fresh);
   std::uint32_t w = 0;
@@ -443,9 +453,7 @@ bool BzTree::replace_child(
   f->status = w;
   persist(f, Node::bytes(f->capacity));
 
-  // Freeze the old parent and swap it in the grandparent.
-  if (!descs_->mwcas({{&parent->status, pstatus, pstatus | kFrozenBit}}))
-    return false;
+  // Swap the copy in for the (frozen) old parent in the grandparent.
   std::vector<PathEntry> ppath(path.begin(), std::prev(path.end()));
   return replace_child(ppath, tail.node_off, {{0, fresh}});
 }

@@ -777,10 +777,15 @@ void UPSkipList::scrub_torn_slots(NodeView node) {
 void UPSkipList::check_node_split_recovery(NodeView node) {
   // Function 11: a durable write-lock from a previous epoch means the node
   // was being split. The new node, if it was linked, is next[0]; complete
-  // the erase phase by tombstoning every key that was copied there.
+  // the erase phase by tombstoning every key that was copied there — which
+  // is exactly every key at or above its first key. Test that bound, not
+  // membership in next[0]: recovery is lazy, so a traversal that reached
+  // the new node without passing this one (a DRAM index hint, an upper
+  // level) may already have split it again and moved some of the copies
+  // one node further on. With no new node linked, next[0]'s first key
+  // bounds this node's keys and nothing is erased.
   if (!node.write_locked()) return;
-  NodeView succ = view(pm_load(node.next(0)));
-  const bool have_succ = !succ.is_tail();
+  const std::uint64_t bound = view(pm_load(node.next(0))).first_key();
   for (std::uint32_t i = 0; i < layout_.keys_per_node; ++i) {
     // Mid-erase crash point: dying here leaves the node partially scrubbed
     // with the durable write lock still set, so the next epoch re-enters
@@ -793,13 +798,9 @@ void UPSkipList::check_node_split_recovery(NodeView node) {
       pm_store(node.value(i), kTombstone);
       continue;
     }
-    if (!have_succ) continue;
-    for (std::uint32_t j = 0; j < layout_.keys_per_node; ++j) {
-      if (pm_load(succ.key(j)) == k) {
-        pm_store(node.key(i), kNullKey);
-        pm_store(node.value(i), kTombstone);
-        break;
-      }
+    if (k >= bound) {
+      pm_store(node.key(i), kNullKey);
+      pm_store(node.value(i), kTombstone);
     }
   }
   // The erase punched unknown holes; drop the sorted-prefix claim.

@@ -192,11 +192,14 @@ std::optional<std::uint64_t> LockSkipList::remove(std::uint64_t key) {
       p->next[l] = v->next[l];
     }
     tx.commit();
-    // Physical memory is reclaimed lazily; the node stays allocated until
-    // freed here (safe: removed nodes are unreachable for new finds, and
-    // concurrent readers hold no references past their traversal in this
-    // blocking design once preds are unlinked under locks).
-    store_->free_obj(victim, sizeof(Node));
+    // The unlinked node is not freed: finds take no locks, so a concurrent
+    // traversal can still stand on it or hold it as a pred/succ to validate
+    // against. Freeing it at once let the allocator hand the block straight
+    // back out — zeroed, or with the free-list link written over its key —
+    // which broke those traversals, let validation pass on a recycled
+    // address (ABA) and raced the lock-free free list. The original would
+    // reclaim it with epoch-based GC; here removed nodes stay allocated (no
+    // benchmark workload removes from this baseline).
     return old;
   }
 }

@@ -199,6 +199,46 @@ TEST(Crash, InterruptedSplitLeavesNoDuplicates) {
   verify_recovered(h, acked);
 }
 
+TEST(Crash, SplitRecoveryErasesCopiesTheNewNodeMovedOn) {
+  // A split that crashes right after linking its new node N leaves N's keys
+  // duplicated in the old node P until P's recovery erases them. Recovery
+  // is lazy: with the DRAM index, an insert into N's range starts at N's
+  // hint (whenever N has a tower) and never passes P, so N can fill and
+  // split again first, moving some of the copies on to a third node. P's
+  // recovery must still erase every copy. Keys are spaced 1000 apart so
+  // fresh keys fit into every gap, and the gaps fill top-down so N's range
+  // fills before anything traverses P. Each skip interrupts another split.
+  for (std::uint64_t skip = 0; skip < 16; ++skip) {
+    SCOPED_TRACE("skip=" + std::to_string(skip));
+    StoreHarness h(small_options(/*keys_per_node=*/4, /*max_height=*/10));
+    ASSERT_TRUE(h.store().dram_index_enabled());
+    CrashPoints::instance().reset();
+    CrashPoints::instance().arm(crash_tag("core.split_linked"), skip);
+    std::map<std::uint64_t, std::uint64_t> acked;
+    Xoshiro256 rng(skip + 41);
+    bool fired = false;
+    try {
+      for (std::uint64_t i = 1; i <= 4000; ++i) {
+        const std::uint64_t key = 1000 * (1 + rng.next_below(200));
+        h.store().insert(key, i);
+        acked[key] = i;
+      }
+    } catch (const CrashException&) {
+      fired = true;
+    }
+    CrashPoints::instance().disarm();
+    ASSERT_TRUE(fired);
+    h.crash_and_reopen();
+    for (std::uint64_t gap = 200; gap >= 1; --gap) {
+      for (std::uint64_t k = gap * 1000 + 501; k <= gap * 1000 + 503; ++k) {
+        h.store().insert(k, k);
+        acked[k] = k;
+      }
+    }
+    verify_recovered(h, acked);
+  }
+}
+
 TEST(Crash, InterruptedTowerIsRebuiltOnTraversal) {
   // Exercises the persistent tower-linking repair, which only exists with
   // the DRAM index off (its DRAM-mode analogue lives in dram_index_test).
