@@ -18,12 +18,6 @@
 //      delivered while the tail is still being merged) and the buffered path
 //      pays for materializing the entire reply before byte one.
 //
-// Experiments 2 and 3 run on both data planes — io_uring when the kernel
-// offers it, then epoll (UPSL_DISABLE_IOURING is the user-facing kill
-// switch; here the option toggles directly). On kernels without io_uring the
-// uring legs are skipped with a notice and a marker entry so CI artifacts
-// stay self-describing.
-//
 // Knobs: UPSL_BENCH_RECORDS (default 20000), UPSL_BENCH_OPS (ops per mix
 // leg, default 20000), UPSL_SCAN_CLIENTS (default 64), UPSL_SHARDS
 // (default 1).
@@ -288,7 +282,7 @@ int main() {
       std::max<std::uint64_t>(1, bench::env_u64("UPSL_SHARDS", 1)));
 
   bench::print_header("streaming scan A/B",
-                      "scan PR: SIMD chunked scans over epoll vs io_uring");
+                      "scan PR: SIMD chunked vs buffered scans over the wire");
 
   JsonBenchWriter out("scan");
   bool all_ok = true;
@@ -296,112 +290,96 @@ int main() {
   // 1. Core loop + zero-allocation assertion.
   all_ok = core_scan_loop(out, records) && all_ok;
 
-  // 2+3. Wire mixes on each data plane.
-  for (const bool want_uring : {true, false}) {
-    ThreadRegistry::instance().bind(0);
-    server::ServerOptions sopts;
-    sopts.port = 0;
-    sopts.workers = 4;
-    sopts.io_uring = want_uring;
-    bench::UPSLShardedAdapter adapter(
-        records, shards, 64,
-        /*max_threads=*/sopts.first_thread_id + shards * sopts.workers + 4);
-    // Preload in-process (cheaper than the wire; stores must be live before
-    // the sockets anyway).
-    std::uint64_t v = 1;
-    for (std::uint64_t i = 0; i < records; ++i)
-      adapter.insert(ycsb::key_of(i), v++);
-    server::Server srv(adapter.set(), sopts);
-    if (!srv.start()) {
-      std::fprintf(stderr, "cannot start in-process server\n");
-      return 1;
-    }
-    const std::string plane = srv.data_plane();
-    if (want_uring && plane != "io_uring") {
-      // Old kernel / seccomp: record the skip so the artifact says why the
-      // uring rows are missing, and keep the suite green.
-      std::printf("  io_uring unavailable on this kernel -- skipping uring "
-                  "legs (epoll still measured)\n");
-      JsonBenchWriter::Config cfg;
-      cfg.emplace_back("plane", "io_uring");
-      cfg.emplace_back("skipped", "kernel lacks io_uring");
-      out.add("scan_iouring_skipped", std::move(cfg), 0);
-      srv.stop();
-      srv.wait();
-      continue;
-    }
-    Target t{"127.0.0.1", srv.port()};
-    std::printf("  [%s] %u clients, %llu records, %llu ops per leg\n",
-                plane.c_str(), clients,
-                static_cast<unsigned long long>(records),
-                static_cast<unsigned long long>(ops));
-
-    // Workload-E mix, buffered vs chunked.
-    std::array<MixResult, 2> e_legs;
-    for (const bool chunked : {false, true}) {
-      const MixResult r = run_mix(t, records, ops, clients, chunked);
-      e_legs[chunked ? 1 : 0] = r;
-      report(out,
-             (std::string("scan_E_") + (chunked ? "chunked_" : "buffered_") +
-              plane)
-                 .c_str(),
-             plane.c_str(), chunked ? "chunked" : "buffered", clients, r,
-             &all_ok);
-    }
-
-    // Long-scan leg: full-range scans, streaming TTFC vs buffered
-    // whole-reply latency. Few clients; scans only.
-    const std::uint32_t long_limit = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(records, 50000));
-    const unsigned long_clients = std::min(clients, 4u);
-    std::array<MixResult, 2> long_legs;
-    for (const bool chunked : {false, true}) {
-      const MixResult r =
-          run_mix(t, records, /*total_ops=*/long_clients * 8, long_clients,
-                  chunked, long_limit, /*insert_fraction=*/0.0);
-      long_legs[chunked ? 1 : 0] = r;
-      report(out,
-             (std::string("scan_long_") + (chunked ? "chunked_" : "buffered_") +
-              plane)
-                 .c_str(),
-             plane.c_str(), chunked ? "chunked-long" : "buffered-long",
-             long_clients, r, &all_ok);
-    }
-
-    // Acceptance gate (same arming rule as bench_shard's scaling gate):
-    // the 2x entries/s and TTFC-p99 targets are contention/streaming
-    // effects that need real parallelism — on a small box the E mix is
-    // pure loopback RTT and both modes ship one frame per short scan, so
-    // the ratio is meaningless there. Armed at >=16 clients on >=8 cores
-    // with >=20000 ops; below that the ratios are still recorded.
-    const auto rate = [](const MixResult& r) {
-      return r.seconds > 0
-                 ? static_cast<double>(r.scan_entries) / r.seconds
-                 : 0.0;
-    };
-    const double e_ratio =
-        rate(e_legs[0]) > 0 ? rate(e_legs[1]) / rate(e_legs[0]) : 0.0;
-    const bool ttfc_better =
-        e_legs[1].ttfc.p99_ns() <= e_legs[0].ttfc.p99_ns() ||
-        long_legs[1].ttfc.p99_ns() <= long_legs[0].ttfc.p99_ns();
-    const bool armed = clients >= 16 && ops >= 20000 &&
-                       std::thread::hardware_concurrency() >= 8;
-    std::printf("  [%s] chunked/buffered E entries/s ratio %.2fx, "
-                "TTFC p99 %s (gate %s)\n",
-                plane.c_str(), e_ratio, ttfc_better ? "improved" : "WORSE",
-                armed ? "armed" : "disarmed: needs >=16 clients, >=8 cores, "
-                                  ">=20000 ops");
-    if (armed && (e_ratio < 2.0 || !ttfc_better)) {
-      std::fprintf(stderr,
-                   "  GATE FAILED on %s: chunked must be >=2x buffered "
-                   "entries/s on the E mix with TTFC p99 no worse\n",
-                   plane.c_str());
-      all_ok = false;
-    }
-
-    srv.stop();
-    srv.wait();
+  // 2+3. Wire mixes against one self-hosted server.
+  ThreadRegistry::instance().bind(0);
+  server::ServerOptions sopts;
+  sopts.port = 0;
+  sopts.workers = 4;
+  bench::UPSLShardedAdapter adapter(
+      records, shards, 64,
+      /*max_threads=*/sopts.first_thread_id + shards * sopts.workers + 4);
+  // Preload in-process (cheaper than the wire; stores must be live before
+  // the sockets anyway).
+  std::uint64_t v = 1;
+  for (std::uint64_t i = 0; i < records; ++i)
+    adapter.insert(ycsb::key_of(i), v++);
+  server::Server srv(adapter.set(), sopts);
+  if (!srv.start()) {
+    std::fprintf(stderr, "cannot start in-process server\n");
+    return 1;
   }
+  const std::string plane = srv.data_plane();
+  Target t{"127.0.0.1", srv.port()};
+  std::printf("  [%s] %u clients, %llu records, %llu ops per leg\n",
+              plane.c_str(), clients,
+              static_cast<unsigned long long>(records),
+              static_cast<unsigned long long>(ops));
+
+  // Workload-E mix, buffered vs chunked.
+  std::array<MixResult, 2> e_legs;
+  for (const bool chunked : {false, true}) {
+    const MixResult r = run_mix(t, records, ops, clients, chunked);
+    e_legs[chunked ? 1 : 0] = r;
+    report(out,
+           (std::string("scan_E_") + (chunked ? "chunked_" : "buffered_") +
+            plane)
+               .c_str(),
+           plane.c_str(), chunked ? "chunked" : "buffered", clients, r,
+           &all_ok);
+  }
+
+  // Long-scan leg: full-range scans, streaming TTFC vs buffered
+  // whole-reply latency. Few clients; scans only.
+  const std::uint32_t long_limit = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(records, 50000));
+  const unsigned long_clients = std::min(clients, 4u);
+  std::array<MixResult, 2> long_legs;
+  for (const bool chunked : {false, true}) {
+    const MixResult r =
+        run_mix(t, records, /*total_ops=*/long_clients * 8, long_clients,
+                chunked, long_limit, /*insert_fraction=*/0.0);
+    long_legs[chunked ? 1 : 0] = r;
+    report(out,
+           (std::string("scan_long_") + (chunked ? "chunked_" : "buffered_") +
+            plane)
+               .c_str(),
+           plane.c_str(), chunked ? "chunked-long" : "buffered-long",
+           long_clients, r, &all_ok);
+  }
+
+  // Acceptance gate (same arming rule as bench_shard's scaling gate):
+  // the 2x entries/s and TTFC-p99 targets are contention/streaming
+  // effects that need real parallelism — on a small box the E mix is
+  // pure loopback RTT and both modes ship one frame per short scan, so
+  // the ratio is meaningless there. Armed at >=16 clients on >=8 cores
+  // with >=20000 ops; below that the ratios are still recorded.
+  const auto rate = [](const MixResult& r) {
+    return r.seconds > 0
+               ? static_cast<double>(r.scan_entries) / r.seconds
+               : 0.0;
+  };
+  const double e_ratio =
+      rate(e_legs[0]) > 0 ? rate(e_legs[1]) / rate(e_legs[0]) : 0.0;
+  const bool ttfc_better =
+      e_legs[1].ttfc.p99_ns() <= e_legs[0].ttfc.p99_ns() ||
+      long_legs[1].ttfc.p99_ns() <= long_legs[0].ttfc.p99_ns();
+  const bool armed = clients >= 16 && ops >= 20000 &&
+                     std::thread::hardware_concurrency() >= 8;
+  std::printf("  [%s] chunked/buffered E entries/s ratio %.2fx, "
+              "TTFC p99 %s (gate %s)\n",
+              plane.c_str(), e_ratio, ttfc_better ? "improved" : "WORSE",
+              armed ? "armed" : "disarmed: needs >=16 clients, >=8 cores, "
+                                ">=20000 ops");
+  if (armed && (e_ratio < 2.0 || !ttfc_better)) {
+    std::fprintf(stderr,
+                 "  GATE FAILED on %s: chunked must be >=2x buffered "
+                 "entries/s on the E mix with TTFC p99 no worse\n",
+                 plane.c_str());
+    all_ok = false;
+  }
+
+  srv.stop();
+  srv.wait();
 
   out.write();
   return all_ok ? 0 : 1;

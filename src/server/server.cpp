@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <csignal>
 #include <errno.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -15,7 +14,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <unordered_map>
@@ -26,7 +24,6 @@
 #include "pmem/persist.hpp"
 #include "server/group_commit.hpp"
 #include "server/protocol.hpp"
-#include "server/uring.hpp"
 
 namespace upsl::server {
 
@@ -35,21 +32,6 @@ namespace {
 std::atomic<bool> g_signal_stop{false};
 
 void on_stop_signal(int) { g_signal_stop.store(true, std::memory_order_release); }
-
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-bool shard_pin_disabled_by_env() {
-  const char* v = std::getenv("UPSL_DISABLE_SHARD_PIN");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-bool iouring_disabled_by_env() {
-  const char* v = std::getenv("UPSL_DISABLE_IOURING");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
 
 #ifndef EPOLLEXCLUSIVE
 #define EPOLLEXCLUSIVE (1u << 28)
@@ -66,6 +48,10 @@ bool iouring_disabled_by_env() {
 /// registers (ticket, end-of-its-responses) in pending_acks; the committer's
 /// eventfd wakeup advances sendable_end as tickets commit, preserving FIFO
 /// response order per connection.
+///
+/// A peer FIN only ends the input side: what arrived before it is executed
+/// and every response, parked ones included, is still delivered before the
+/// socket closes (close_after_flush).
 struct Server::Conn {
   int fd = -1;
   std::vector<std::uint8_t> in;
@@ -73,7 +59,8 @@ struct Server::Conn {
   std::size_t out_off = 0;
   std::size_t sendable_end = 0;  // bytes released for sending
   std::deque<std::pair<std::uint64_t, std::size_t>> pending_acks;
-  bool want_write = false;  // EPOLLOUT currently registered
+  std::uint32_t events = EPOLLIN;  // epoll interest currently registered
+  bool close_after_flush = false;  // peer sent FIN: close once out drains
   /// Detectable session (docs/detectability.md): the client identity the
   /// connection last opened with HELLO (0 = none), plus this client's
   /// session slot on each shard, opened lazily as detectable mutations
@@ -81,28 +68,6 @@ struct Server::Conn {
   /// each shard's own pool — routing stays shard-local.
   std::uint64_t client_id = 0;
   std::vector<std::int32_t> session_slots;
-
-  // io_uring plane only (docs/scan.md). Sends must not point into `out`
-  // (it reallocs while the SQE is in flight), so the releasable window is
-  // staged into `sbuf` for the kernel. `pending_ops` counts this
-  // connection's in-flight SQEs (recv/send/cancel); a closed Conn is only
-  // destroyed once it reaches zero — ops hold kernel references to the
-  // buffers they were posted with.
-  std::vector<std::uint8_t> sbuf;
-  std::vector<std::uint8_t> rbuf;  // plain-recv fallback (no fixed slot free)
-  int buf_idx = -1;                // registered recv buffer slot, -1 = none
-  bool recv_armed = false;
-  bool send_armed = false;
-  bool closing = false;            // fd closed; waiting for pending_ops == 0
-  bool close_after_flush = false;  // peer sent FIN: close once out drains
-  bool reaped = false;             // already on the worker's dead list
-  // uring_close could not post the ASYNC_CANCEL for an armed op (SQ full
-  // even after a submit); retried from the event loop until it posts, so the
-  // in-flight op — which holds a kernel reference to the closed file — is
-  // not left to linger indefinitely.
-  bool need_cancel_recv = false;
-  bool need_cancel_send = false;
-  unsigned pending_ops = 0;
 
   bool has_pending_out() const { return out_off < sendable_end; }
 };
@@ -112,61 +77,7 @@ struct Server::Worker {
   int epoll_fd = -1;
   int event_fd = -1;  // poked by the shard's group committer after each fence
   std::unordered_map<int, Conn> conns;
-#if UPSL_HAVE_IOURING
-  // io_uring plane state. Connections are keyed by their heap address (not
-  // fd — io_uring completions outlive a close, and the kernel reuses fd
-  // numbers immediately), and SQE user_data carries that address with a
-  // low-bit op tag, so every CQE resolves to a live Conn by construction.
-  Uring ring;
-  bool draining = false;  // suppress re-arms during the graceful drain
-  unsigned inflight = 0;  // SQEs posted whose CQE has not been reaped yet
-  std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> uconns;
-  // Conns whose last in-flight op completed after close: destruction is
-  // deferred to uring_sweep_dead at the top of the event/drain loop, so a
-  // close_conn triggered deep inside uring_handle_cqe (via execute_batch)
-  // never frees a Conn that callers up the stack still reference, and never
-  // invalidates a loop iterating uconns.
-  std::vector<std::uint64_t> dead_uconns;
-  std::vector<std::uint64_t> cancel_retry;  // Conn keys with need_cancel_*
-  std::vector<std::vector<std::uint8_t>> fixed_bufs;  // registered recv pool
-  std::vector<int> free_bufs;
-  std::uint64_t efd_val = 0;  // eventfd read target (stable address)
-#endif
 };
-
-#if UPSL_HAVE_IOURING
-namespace {
-
-// SQE user_data layout: either a sentinel (< 8) for per-worker ops, or a
-// Conn* (heap-allocated, so 8-byte aligned) with an op tag in the low bits.
-constexpr std::uint64_t kUdAccept = 1;  // multishot accept
-constexpr std::uint64_t kUdEvent = 2;   // group-committer eventfd read
-constexpr std::uint64_t kUdMisc = 3;    // cancels of the two above
-constexpr std::uint64_t kTagRecv = 1;
-constexpr std::uint64_t kTagSend = 2;
-constexpr std::uint64_t kTagCancel = 3;
-constexpr std::uint64_t kTagMask = 3;
-constexpr unsigned kUringEntries = 1024;
-constexpr unsigned kRecvBufBytes = 64 * 1024;
-constexpr unsigned kFixedBufCount = 16;
-
-std::uint64_t conn_ud(const void* c, std::uint64_t tag) {
-  return reinterpret_cast<std::uint64_t>(c) | tag;
-}
-
-io_uring_sqe* sqe_or_flush(Uring& ring) {
-  io_uring_sqe* sqe = ring.get_sqe();
-  if (sqe == nullptr) {
-    // SQ full: publish what is queued (the kernel consumes SQEs at submit
-    // time) and retry.
-    ring.submit_and_wait(0, 0);
-    sqe = ring.get_sqe();
-  }
-  return sqe;
-}
-
-}  // namespace
-#endif  // UPSL_HAVE_IOURING
 
 Server::Server(core::UPSkipList& store, ServerOptions opts)
     : stores_{&store}, opts_(std::move(opts)) {
@@ -259,15 +170,6 @@ bool Server::start() {
   for (std::uint32_t s = 0; s < shards; ++s)
     shard_ops_[s].store(0, std::memory_order_relaxed);
 
-#if UPSL_HAVE_IOURING
-  // Data-plane selection: option on, no env kill switch, and the kernel
-  // passes the feature probe. Per-worker ring setup below can still fail
-  // (e.g. RLIMIT_MEMLOCK); any failure reverts every worker to epoll — the
-  // planes never mix within one server.
-  use_uring_ = opts_.io_uring && !iouring_disabled_by_env() &&
-               io_uring_available();
-#endif
-
   for (std::uint32_t s = 0; s < shards; ++s) {
     for (unsigned i = 0; i < opts_.workers; ++i) {
       auto w = std::make_unique<Worker>();
@@ -294,58 +196,9 @@ bool Server::start() {
     }
   }
 
-#if UPSL_HAVE_IOURING
-  if (use_uring_) {
-    for (auto& w : workers_) {
-      if (!w->ring.init(kUringEntries)) {
-        use_uring_ = false;
-        break;
-      }
-      // The eventfd is read through the ring in this mode; clear O_NONBLOCK
-      // so kernels whose eventfd lacks nowait support poll-arm the read
-      // instead of completing it with -EAGAIN (a re-arm busy loop).
-      if (w->event_fd >= 0) {
-        const int fl = ::fcntl(w->event_fd, F_GETFL, 0);
-        if (fl >= 0) ::fcntl(w->event_fd, F_SETFL, fl & ~O_NONBLOCK);
-      }
-      // Registered recv buffers: fixed slots the kernel reads into without
-      // per-op page pinning. Registration failing (memlock limits) is not
-      // fatal — connections beyond the pool fall back to plain RECV anyway.
-      w->fixed_bufs.assign(kFixedBufCount,
-                           std::vector<std::uint8_t>(kRecvBufBytes));
-      std::vector<iovec> iov(kFixedBufCount);
-      for (unsigned b = 0; b < kFixedBufCount; ++b)
-        iov[b] = {w->fixed_bufs[b].data(), kRecvBufBytes};
-      if (w->ring.register_buffers(iov.data(), kFixedBufCount)) {
-        for (int b = kFixedBufCount - 1; b >= 0; --b) w->free_bufs.push_back(b);
-      } else {
-        w->fixed_bufs.clear();
-      }
-    }
-    if (!use_uring_) {
-      // Revert to epoll: tear the rings down and restore the nonblocking
-      // eventfds its loop expects.
-      for (auto& w : workers_) {
-        w->ring.destroy();
-        w->fixed_bufs.clear();
-        w->free_bufs.clear();
-        if (w->event_fd >= 0) set_nonblocking(w->event_fd);
-      }
-    }
-  }
-#endif
-
   started_ = true;
   for (unsigned i = 0; i < shards * opts_.workers; ++i)
-    threads_.emplace_back([this, i] {
-#if UPSL_HAVE_IOURING
-      if (use_uring_) {
-        worker_main_uring(i);
-        return;
-      }
-#endif
-      worker_main(i);
-    });
+    threads_.emplace_back([this, i] { worker_main(i); });
   return true;
 }
 
@@ -385,10 +238,9 @@ GroupCommit* Server::shard_gc(const Worker& w) const {
 /// shard's pools were placed on. Contiguous CPU ranges approximate nodes the
 /// same way the "virtual NUMA node" pools do; a real libnuma topology walk
 /// would slot in here. No-op when the machine cannot give every shard at
-/// least one CPU, or when disabled (option / UPSL_DISABLE_SHARD_PIN).
+/// least one CPU.
 void Server::maybe_pin_to_shard(unsigned shard) const {
-  if (!opts_.pin_shards || stores_.size() <= 1 || shard_pin_disabled_by_env())
-    return;
+  if (stores_.size() <= 1) return;
   const unsigned hw = std::thread::hardware_concurrency();
   const unsigned per = hw / static_cast<unsigned>(stores_.size());
   if (per == 0) return;
@@ -504,9 +356,12 @@ void Server::handle_readable(Worker& w, Conn& c) {
   }
   if (c.fd < 0) return;
   if (peer_closed) {
-    // Deliver any responses for frames that were complete, then close.
+    // Half-close: the peer may still be reading. Everything it sent is
+    // executed above; flush_out drops EPOLLIN (level-triggered EOF would
+    // wake this worker forever) and closes once every response has left,
+    // including ones still parked behind a group-commit ticket.
+    c.close_after_flush = true;
     flush_out(w, c);
-    if (c.fd >= 0) close_conn(w, c);
   }
 }
 
@@ -868,18 +723,6 @@ void Server::execute_one(Worker& w, Conn& c, const Request& req,
 
 void Server::flush_out(Worker& w, Conn& c) {
   if (c.fd < 0) return;
-#if UPSL_HAVE_IOURING
-  if (use_uring_) {
-    if (!w.draining) {
-      uring_flush(w, c);
-      return;
-    }
-    // Draining: fall through to the synchronous path — but never while an
-    // asynchronous send still owns the [out_off, sendable_end) window, or
-    // the same bytes would leave twice.
-    if (c.send_armed) return;
-  }
-#endif
   // Only released bytes ([out_off, sendable_end)) may leave; bytes parked
   // behind an uncommitted ticket wait for the committer's eventfd wakeup.
   while (c.has_pending_out()) {
@@ -901,38 +744,25 @@ void Server::flush_out(Worker& w, Conn& c) {
     c.out_off = 0;
     c.sendable_end = 0;
   }
-  // EPOLLOUT covers kernel backpressure on released bytes only. (On the
-  // io_uring plane this fd was never registered with epoll; the MOD is a
-  // harmless ENOENT during its synchronous drain.)
-  const bool want = c.has_pending_out();
-  if (want != c.want_write) {
+  if (c.close_after_flush && !c.has_pending_out() && c.pending_acks.empty()) {
+    close_conn(w, c);
+    return;
+  }
+  // EPOLLOUT covers kernel backpressure on released bytes only; EPOLLIN
+  // stays registered until the peer's FIN.
+  const std::uint32_t events = (c.close_after_flush ? 0u : EPOLLIN) |
+                               (c.has_pending_out() ? EPOLLOUT : 0u);
+  if (events != c.events) {
     epoll_event ev = {};
-    ev.events = EPOLLIN | (want ? EPOLLOUT : 0u);
+    ev.events = events;
     ev.data.fd = c.fd;
     ::epoll_ctl(w.epoll_fd, EPOLL_CTL_MOD, c.fd, &ev);
-    c.want_write = want;
+    c.events = events;
   }
 }
 
 void Server::release_committed(Worker& w) {
   const std::uint64_t committed = shard_gc(w)->committed();
-#if UPSL_HAVE_IOURING
-  if (use_uring_) {
-    // uring_flush never erases a Conn (teardown is completion-driven), so
-    // iterating the map while flushing is safe.
-    for (auto& [key, cp] : w.uconns) {
-      Conn& c = *cp;
-      if (c.fd < 0 || c.pending_acks.empty()) continue;
-      while (!c.pending_acks.empty() &&
-             c.pending_acks.front().first <= committed) {
-        c.sendable_end = c.pending_acks.front().second;
-        c.pending_acks.pop_front();
-      }
-      flush_out(w, c);
-    }
-    return;
-  }
-#endif
   for (auto it = w.conns.begin(); it != w.conns.end();) {
     Conn& c = it->second;
     if (c.fd >= 0 && !c.pending_acks.empty()) {
@@ -954,12 +784,6 @@ void Server::release_committed(Worker& w) {
 /// does NOT erase it from the worker's map — callers up the stack still hold
 /// a reference; the event/drain loop reaps dead entries.
 void Server::close_conn(Worker& w, Conn& c) {
-#if UPSL_HAVE_IOURING
-  if (use_uring_) {
-    uring_close(w, c);
-    return;
-  }
-#endif
   ::epoll_ctl(w.epoll_fd, EPOLL_CTL_DEL, c.fd, nullptr);
   ::close(c.fd);
   c.fd = -1;
@@ -1011,440 +835,6 @@ void Server::drain_worker(Worker& w) {
     if (c.fd >= 0) close_conn(w, c);
   }
 }
-
-#if UPSL_HAVE_IOURING
-
-/// Arms (or re-arms) the connection's single outstanding receive: into its
-/// registered fixed-buffer slot when one is held or free, else a plain RECV
-/// into the per-connection fallback buffer.
-void Server::uring_arm_recv(Worker& w, Conn& c) {
-  if (c.fd < 0 || c.closing || c.recv_armed || w.draining) return;
-  io_uring_sqe* sqe = sqe_or_flush(w.ring);
-  if (sqe == nullptr) {
-    close_conn(w, c);
-    return;
-  }
-  if (c.buf_idx < 0 && !w.free_bufs.empty()) {
-    c.buf_idx = w.free_bufs.back();
-    w.free_bufs.pop_back();
-  }
-  if (c.buf_idx >= 0) {
-    Uring::prep_read_fixed(sqe, c.fd, w.fixed_bufs[c.buf_idx].data(),
-                           kRecvBufBytes, static_cast<unsigned>(c.buf_idx),
-                           conn_ud(&c, kTagRecv));
-  } else {
-    if (c.rbuf.size() != kRecvBufBytes) c.rbuf.resize(kRecvBufBytes);
-    Uring::prep_recv(sqe, c.fd, c.rbuf.data(), kRecvBufBytes,
-                     conn_ud(&c, kTagRecv));
-  }
-  c.recv_armed = true;
-  ++c.pending_ops;
-  ++w.inflight;
-}
-
-/// Posts one asynchronous send for the releasable window. The window is
-/// copied into c.sbuf first: c.out may realloc (new responses append) while
-/// the kernel still reads the SQE's buffer.
-void Server::uring_flush(Worker& w, Conn& c) {
-  if (c.fd < 0 || c.closing || c.send_armed || !c.has_pending_out()) return;
-  c.sbuf.assign(c.out.begin() + static_cast<std::ptrdiff_t>(c.out_off),
-                c.out.begin() + static_cast<std::ptrdiff_t>(c.sendable_end));
-  io_uring_sqe* sqe = sqe_or_flush(w.ring);
-  if (sqe == nullptr) return;  // retried on the next completion/release
-  Uring::prep_send(sqe, c.fd, c.sbuf.data(),
-                   static_cast<unsigned>(c.sbuf.size()),
-                   conn_ud(&c, kTagSend));
-  c.send_armed = true;
-  ++c.pending_ops;
-  ++w.inflight;
-}
-
-/// io_uring teardown: in-flight ops hold kernel references to the file and
-/// to the buffers they were posted with, so the fd is closed immediately but
-/// the Conn lives on (closing = true) until every CQE — including the ones
-/// the ASYNC_CANCELs generate — has come back.
-void Server::uring_close(Worker& w, Conn& c) {
-  if (c.fd < 0) return;
-  if (c.recv_armed) {
-    io_uring_sqe* sqe = sqe_or_flush(w.ring);
-    if (sqe != nullptr) {
-      Uring::prep_cancel(sqe, conn_ud(&c, kTagRecv), conn_ud(&c, kTagCancel));
-      ++c.pending_ops;
-      ++w.inflight;
-    } else {
-      c.need_cancel_recv = true;
-    }
-  }
-  if (c.send_armed) {
-    io_uring_sqe* sqe = sqe_or_flush(w.ring);
-    if (sqe != nullptr) {
-      Uring::prep_cancel(sqe, conn_ud(&c, kTagSend), conn_ud(&c, kTagCancel));
-      ++c.pending_ops;
-      ++w.inflight;
-    } else {
-      c.need_cancel_send = true;
-    }
-  }
-  if (c.need_cancel_recv || c.need_cancel_send)
-    w.cancel_retry.push_back(reinterpret_cast<std::uint64_t>(&c));
-  ::close(c.fd);
-  c.fd = -1;
-  c.closing = true;
-  stats_.connections_closed.fetch_add(1, std::memory_order_relaxed);
-  uring_reap(w, c);
-}
-
-/// Marks a closed Conn dead once its last in-flight op has completed,
-/// returning its fixed-buffer slot to the pool. No-op until then. The Conn
-/// itself is NOT destroyed here — close_conn's contract is that callers up
-/// the stack still hold a reference (uring_handle_cqe touches the Conn after
-/// execute_batch, and the drain loops iterate uconns while closing), so
-/// destruction waits for uring_sweep_dead at the top of the loop.
-void Server::uring_reap(Worker& w, Conn& c) {
-  if (!c.closing || c.pending_ops > 0 || c.reaped) return;
-  if (c.buf_idx >= 0) {
-    w.free_bufs.push_back(c.buf_idx);
-    c.buf_idx = -1;
-  }
-  c.reaped = true;
-  w.dead_uconns.push_back(reinterpret_cast<std::uint64_t>(&c));
-}
-
-/// Destroys reaped Conns. Only called from the top of the event/drain loop,
-/// never from inside a CQE handler or a loop over uconns: a reaped Conn has
-/// pending_ops == 0, so no CQE still to be processed can reference it.
-void Server::uring_sweep_dead(Worker& w) {
-  for (const std::uint64_t key : w.dead_uconns) w.uconns.erase(key);
-  w.dead_uconns.clear();
-}
-
-/// Re-posts the ASYNC_CANCELs uring_close had to skip because the SQ was
-/// full. Cheap no-op in steady state (the retry list is almost always
-/// empty); entries whose op completed on its own in the meantime are simply
-/// dropped.
-void Server::uring_retry_cancels(Worker& w) {
-  if (w.cancel_retry.empty()) return;
-  std::vector<std::uint64_t> keep;
-  for (const std::uint64_t key : w.cancel_retry) {
-    const auto it = w.uconns.find(key);
-    if (it == w.uconns.end()) continue;
-    Conn& c = *it->second;
-    if (c.need_cancel_recv) {
-      io_uring_sqe* sqe = sqe_or_flush(w.ring);
-      if (sqe == nullptr) {
-        keep.push_back(key);
-        continue;
-      }
-      Uring::prep_cancel(sqe, conn_ud(&c, kTagRecv), conn_ud(&c, kTagCancel));
-      ++c.pending_ops;
-      ++w.inflight;
-      c.need_cancel_recv = false;
-    }
-    if (c.need_cancel_send) {
-      io_uring_sqe* sqe = sqe_or_flush(w.ring);
-      if (sqe == nullptr) {
-        keep.push_back(key);
-        continue;
-      }
-      Uring::prep_cancel(sqe, conn_ud(&c, kTagSend), conn_ud(&c, kTagCancel));
-      ++c.pending_ops;
-      ++w.inflight;
-      c.need_cancel_send = false;
-    }
-  }
-  w.cancel_retry.swap(keep);
-}
-
-void Server::uring_handle_cqe(Worker& w, std::uint64_t user_data, int res,
-                              unsigned flags) {
-  if (user_data == kUdAccept) {
-    // Multishot accept: one SQE produces CQEs until the kernel clears
-    // F_MORE (resource pressure or an error); it stays "in flight" — and
-    // counted once in w.inflight — until then, and is re-armed after.
-    const bool more = (flags & IORING_CQE_F_MORE) != 0;
-    if (!more) --w.inflight;
-    if (res >= 0) {
-      if (w.draining) {
-        ::close(res);
-      } else {
-        const int one = 1;
-        ::setsockopt(res, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-        auto conn = std::make_unique<Conn>();
-        Conn& c = *conn;
-        c.fd = res;
-        w.uconns.emplace(reinterpret_cast<std::uint64_t>(conn.get()),
-                         std::move(conn));
-        stats_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-        uring_arm_recv(w, c);
-      }
-    }
-    if (!more && !w.draining) {
-      // Never re-arm after a hard error: a kernel that rejects the accept
-      // itself (e.g. -EINVAL from missing multishot support, which the
-      // startup probe should have ruled out) would fail the re-armed SQE
-      // instantly too, spinning the worker at 100% CPU. Transient resource
-      // errors (EMFILE, ENOBUFS, ECONNABORTED, ...) re-arm as usual.
-      if (res == -EINVAL || res == -EBADF || res == -ENOTSOCK ||
-          res == -EOPNOTSUPP) {
-        stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      io_uring_sqe* sqe = sqe_or_flush(w.ring);
-      if (sqe != nullptr) {
-        Uring::prep_accept_multishot(sqe, listen_fds_[w.shard], kUdAccept);
-        ++w.inflight;
-      }
-    }
-    return;
-  }
-  if (user_data == kUdEvent) {
-    --w.inflight;
-    if (res > 0) release_committed(w);
-    if (!w.draining && w.event_fd >= 0) {
-      io_uring_sqe* sqe = sqe_or_flush(w.ring);
-      if (sqe != nullptr) {
-        Uring::prep_read(sqe, w.event_fd, &w.efd_val, sizeof w.efd_val,
-                         kUdEvent);
-        ++w.inflight;
-      }
-    }
-    return;
-  }
-  if (user_data == kUdMisc) {
-    --w.inflight;
-    return;
-  }
-
-  --w.inflight;
-  const auto it = w.uconns.find(user_data & ~kTagMask);
-  if (it == w.uconns.end()) return;  // unreachable: Conns outlive their ops
-  Conn& c = *it->second;
-  --c.pending_ops;
-  const std::uint64_t tag = user_data & kTagMask;
-  if (tag == kTagCancel) {
-    uring_reap(w, c);
-    return;
-  }
-  if (tag == kTagRecv) {
-    c.recv_armed = false;
-    c.need_cancel_recv = false;  // op completed; a queued retry is moot
-    if (c.closing) {
-      uring_reap(w, c);
-      return;
-    }
-    if (res > 0) {
-      const std::uint8_t* buf =
-          c.buf_idx >= 0 ? w.fixed_bufs[c.buf_idx].data() : c.rbuf.data();
-      c.in.insert(c.in.end(), buf, buf + res);
-      if (c.in.size() > kHeaderBytes + kMaxBody + kRecvBufBytes) {
-        stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-        close_conn(w, c);
-        return;
-      }
-      while (execute_batch(w, c)) {
-      }
-      if (c.fd >= 0) uring_arm_recv(w, c);
-      return;
-    }
-    if (res == 0) {
-      // Peer sent FIN. Execute what it already sent; the responses (some
-      // possibly parked behind a commit ticket) drain asynchronously, and
-      // the send/release completions close the socket once out is empty.
-      while (execute_batch(w, c)) {
-      }
-      if (c.fd < 0) return;
-      c.close_after_flush = true;
-      flush_out(w, c);
-      if (c.fd >= 0 && !c.send_armed && !c.has_pending_out() &&
-          c.pending_acks.empty()) {
-        close_conn(w, c);
-      }
-      return;
-    }
-    if (res == -ECANCELED && w.draining) return;  // drain slurps the rest
-    close_conn(w, c);
-    return;
-  }
-  if (tag == kTagSend) {
-    c.send_armed = false;
-    c.need_cancel_send = false;  // op completed; a queued retry is moot
-    if (c.closing) {
-      uring_reap(w, c);
-      return;
-    }
-    if (res > 0) {
-      c.out_off += static_cast<std::size_t>(res);
-      if (c.out_off == c.out.size() && !c.out.empty()) {
-        c.out.clear();
-        c.out_off = 0;
-        c.sendable_end = 0;
-      }
-      if (c.has_pending_out()) {
-        if (!w.draining) uring_flush(w, c);
-        return;
-      }
-      if (c.close_after_flush && c.pending_acks.empty()) close_conn(w, c);
-      return;
-    }
-    if (res == -ECANCELED && w.draining) return;
-    close_conn(w, c);
-    return;
-  }
-}
-
-void Server::worker_main_uring(unsigned global_index) {
-  Worker& w = *workers_[global_index];
-  ThreadRegistry::instance().bind(static_cast<int>(
-      opts_.first_thread_id + w.shard * opts_.workers +
-      (global_index % opts_.workers)));
-  maybe_pin_to_shard(w.shard);
-
-  // The two long-lived ops: multishot accept on the shard's listen socket,
-  // and a read on the group committer's eventfd (re-armed per firing).
-  if (io_uring_sqe* sqe = sqe_or_flush(w.ring)) {
-    Uring::prep_accept_multishot(sqe, listen_fds_[w.shard], kUdAccept);
-    ++w.inflight;
-  }
-  if (w.event_fd >= 0) {
-    if (io_uring_sqe* sqe = sqe_or_flush(w.ring)) {
-      Uring::prep_read(sqe, w.event_fd, &w.efd_val, sizeof w.efd_val,
-                       kUdEvent);
-      ++w.inflight;
-    }
-  }
-
-  io_uring_cqe cqes[256];
-  while (true) {
-    // Top of loop, no Conn reference live anywhere up the stack: destroy
-    // the Conns the last pass reaped and re-post any skipped cancels.
-    uring_sweep_dead(w);
-    uring_retry_cancels(w);
-    if (stop_.load(std::memory_order_acquire) || signal_stop_requested()) {
-      drain_worker_uring(w);
-      return;
-    }
-    // Same 50 ms stop-flag cadence as the epoll loop, via EXT_ARG timeout.
-    const int r = w.ring.submit_and_wait(1, 50);
-    if (r < 0 && r != -EINTR) return;  // ring unusable
-    unsigned n;
-    while ((n = w.ring.reap(cqes, 256)) > 0) {
-      for (unsigned i = 0; i < n; ++i)
-        uring_handle_cqe(w, cqes[i].user_data, cqes[i].res, cqes[i].flags);
-    }
-  }
-}
-
-/// Graceful drain, io_uring flavor: cancel the long-lived ops and every
-/// armed receive, let in-flight sends finish delivering, then run the same
-/// synchronous slurp-execute-flush pass as the epoll drain. The Conns are
-/// only destroyed once the kernel holds no reference to their buffers.
-void Server::drain_worker_uring(Worker& w) {
-  w.draining = true;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(opts_.drain_timeout_sec);
-  auto cancel = [&](std::uint64_t target, std::uint64_t as) {
-    io_uring_sqe* sqe = sqe_or_flush(w.ring);
-    if (sqe == nullptr) return false;
-    Uring::prep_cancel(sqe, target, as);
-    ++w.inflight;
-    return true;
-  };
-  cancel(kUdAccept, kUdMisc);
-  if (w.event_fd >= 0) cancel(kUdEvent, kUdMisc);
-  for (auto& [key, cp] : w.uconns) {
-    if (cp->recv_armed &&
-        cancel(conn_ud(cp.get(), kTagRecv), conn_ud(cp.get(), kTagCancel)))
-      ++cp->pending_ops;
-  }
-
-  io_uring_cqe cqes[256];
-  // Safe to sweep here: reap_all is only called from the plain wait loops
-  // below, never while a loop over uconns is in progress.
-  auto reap_all = [&] {
-    unsigned n;
-    while ((n = w.ring.reap(cqes, 256)) > 0) {
-      for (unsigned i = 0; i < n; ++i)
-        uring_handle_cqe(w, cqes[i].user_data, cqes[i].res, cqes[i].flags);
-    }
-    uring_sweep_dead(w);
-  };
-  while (w.inflight > 0 && std::chrono::steady_clock::now() < deadline) {
-    uring_retry_cancels(w);
-    if (w.ring.submit_and_wait(1, 100) < 0 && errno != EINTR) break;
-    reap_all();
-  }
-
-  // Synchronous tail (flush_out takes its epoll-style path now that
-  // w.draining is set): one last slurp, execute, barrier, flush, close.
-  GroupCommit* gc = shard_gc(w);
-  for (auto& [key, cp] : w.uconns) {
-    Conn& c = *cp;
-    if (c.fd < 0) continue;
-    char buf[64 * 1024];
-    while (true) {
-      const ssize_t r = ::recv(c.fd, buf, sizeof buf, 0);
-      if (r > 0) {
-        c.in.insert(c.in.end(), buf, buf + r);
-        continue;
-      }
-      break;
-    }
-    while (execute_batch(w, c)) {
-    }
-    if (c.fd < 0) continue;
-    if (gc != nullptr && !c.pending_acks.empty()) {
-      gc->barrier();
-      c.sendable_end = c.out.size();
-      c.pending_acks.clear();
-    }
-    while (c.has_pending_out() && !c.send_armed &&
-           std::chrono::steady_clock::now() < deadline) {
-      pollfd pfd = {c.fd, POLLOUT, 0};
-      if (::poll(&pfd, 1, 100) <= 0) continue;
-      flush_out(w, c);
-      if (c.fd < 0) break;
-    }
-    if (c.fd >= 0) {
-      ::close(c.fd);
-      c.fd = -1;
-      c.closing = true;
-      stats_.connections_closed.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  // Absolutely no kernel-held buffer references may outlive the Conns:
-  // cancel whatever the deadline left behind and wait the CQEs out —
-  // canceled ops always complete.
-  for (auto& [key, cp] : w.uconns) {
-    if (cp->send_armed) {
-      if (cancel(conn_ud(cp.get(), kTagSend), conn_ud(cp.get(), kTagCancel))) {
-        ++cp->pending_ops;
-      } else if (!cp->need_cancel_send) {
-        cp->need_cancel_send = true;
-        w.cancel_retry.push_back(key);
-      }
-    }
-    if (cp->recv_armed) {
-      if (cancel(conn_ud(cp.get(), kTagRecv), conn_ud(cp.get(), kTagCancel))) {
-        ++cp->pending_ops;
-      } else if (!cp->need_cancel_recv) {
-        cp->need_cancel_recv = true;
-        w.cancel_retry.push_back(key);
-      }
-    }
-  }
-  while (w.inflight > 0) {
-    uring_retry_cancels(w);
-    const int r = w.ring.submit_and_wait(1, 1000);
-    if (r < 0 && r != -EINTR) break;
-    reap_all();
-  }
-  w.uconns.clear();
-  w.dead_uconns.clear();
-  w.cancel_retry.clear();
-}
-
-#endif  // UPSL_HAVE_IOURING
 
 std::string Server::stats_json() const {
   auto u64 = [](const char* k, std::uint64_t v) {

@@ -1,9 +1,6 @@
-// upsl-serve: a multi-threaded TCP front-end over a sharded store, with two
-// interchangeable data planes — classic epoll readiness polling, and an
-// io_uring completion loop (multishot accept, registered-buffer receives,
-// asynchronous sends) selected at runtime when the kernel offers it
-// (docs/scan.md). Everything above the socket layer — batching, routing,
-// group commit, drain — is shared between the planes.
+// upsl-serve: a multi-threaded TCP front-end over a sharded store, served by
+// one epoll readiness loop per worker (docs/scan.md §4 records the A/B that
+// keeps it the only data plane).
 //
 // Sharding (docs/server.md): the key space is hash-partitioned across N
 // independent UPSkipList shards (common/shardmap.hpp). Shard s gets its own
@@ -35,6 +32,9 @@
 // internally), and the server issues one extra pmem::fence() per batch that
 // contained a mutation before any response byte leaves — acknowledgements
 // are ordered after durability with one fence per batch, not one per op.
+// A peer's half-close (FIN) ends only its input: the frames it sent before
+// the FIN are executed and every response is delivered before the server
+// closes the socket.
 //
 // Lifecycle: construct over already-recovered stores (the caller runs
 // Pool::open + UPSkipList/ShardSet::open first — the listen sockets must not
@@ -91,19 +91,6 @@ struct ServerOptions {
   /// the worst-case ack delay rather than adding a fixed one.
   /// UPSL_COMMIT_WINDOW_US overrides.
   std::uint32_t commit_window_us = 50;
-  /// Pin each shard's workers to that shard's CPU group (hardware threads
-  /// split evenly across shards, approximating one NUMA node per shard).
-  /// Skipped automatically when the machine is too small to give every
-  /// shard at least one CPU; UPSL_DISABLE_SHARD_PIN=1 overrides to off.
-  bool pin_shards = true;
-  /// Use the io_uring data plane when the kernel supports it (docs/scan.md):
-  /// multishot accept, registered-buffer receives, and completion-driven
-  /// sends — selected at start() by a runtime probe, falling back to epoll
-  /// on kernels (or seccomp policies) that refuse the ring.
-  /// UPSL_DISABLE_IOURING=1 overrides to off. Batch execution, group-commit
-  /// parking, and the single-owner-connection model are identical on both
-  /// planes.
-  bool io_uring = true;
 };
 
 /// Monotonic serving counters, exposed through the STATS command.
@@ -174,9 +161,8 @@ class Server {
   /// Effective commit window (env override applied). Valid after start().
   std::uint32_t commit_window_us() const { return window_us_; }
 
-  /// The data plane the workers actually run ("io_uring" or "epoll" — the
-  /// probe's verdict, not the option). Valid after start().
-  const char* data_plane() const { return use_uring_ ? "io_uring" : "epoll"; }
+  /// The data plane the workers run, as reported in STATS: always "epoll".
+  const char* data_plane() const { return "epoll"; }
 
   /// Route SIGTERM/SIGINT to a process-wide stop flag every running Server
   /// polls (the handler only stores to an atomic — async-signal-safe).
@@ -200,20 +186,6 @@ class Server {
   void flush_out(Worker& w, Conn& c);
   void close_conn(Worker& w, Conn& c);
   void drain_worker(Worker& w);
-  // io_uring plane (docs/scan.md); only called when use_uring_ is set.
-  void worker_main_uring(unsigned global_index);
-  void drain_worker_uring(Worker& w);
-  void uring_handle_cqe(Worker& w, std::uint64_t user_data, int res,
-                        unsigned flags);
-  void uring_arm_recv(Worker& w, Conn& c);
-  void uring_flush(Worker& w, Conn& c);
-  void uring_close(Worker& w, Conn& c);
-  void uring_reap(Worker& w, Conn& c);
-  /// Destroys reaped Conns; only called at top-of-loop points where no Conn
-  /// reference is live up the stack.
-  void uring_sweep_dead(Worker& w);
-  /// Re-posts ASYNC_CANCELs that uring_close skipped on a full SQ.
-  void uring_retry_cancels(Worker& w);
   /// Release every parked ack covered by the committer's progress and push
   /// the freed bytes out (eventfd wakeup path).
   void release_committed(Worker& w);
@@ -228,7 +200,6 @@ class Server {
   std::atomic<bool> stop_{false};
   bool started_ = false;
   bool stopped_ = false;
-  bool use_uring_ = false;  // decided once in start(); all workers agree
   std::vector<std::thread> threads_;
   std::vector<std::unique_ptr<Worker>> workers_;  // shard-major order
   std::vector<std::unique_ptr<GroupCommit>> gcs_;  // empty = per-batch fencing
