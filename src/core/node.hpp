@@ -61,6 +61,11 @@ struct NodeLayout {
 inline constexpr std::uint64_t kWriterBit = 1ULL << 63;
 inline constexpr std::uint64_t kReaderMask = 0xffffffffULL;
 
+/// Set in a node's epoch word while one recovering thread drains it: the
+/// word is then neither stale nor current, so the locks refuse the node and
+/// other recovering threads leave it alone.
+inline constexpr std::uint64_t kClaimingBit = 1ULL << 63;
+
 /// Cheap typed view over a node's raw memory.
 class NodeView {
  public:
@@ -135,6 +140,30 @@ class NodeView {
 
   void write_unlock() const {
     pmem::pm_store(lock_word(), std::uint64_t{0});
+  }
+
+  /// Begin claiming a node last stamped in `stale_epoch` for
+  /// `current_epoch` (Function 10). False if another thread got there
+  /// first. Until end_claim() the epoch word holds the claiming mark, so no
+  /// live thread can lock the node and only the winner touches it: the
+  /// stale reader counts are drained here, and the caller may repair slots
+  /// no live insert can be claiming. The drain must come after the claim:
+  /// a thread that lost the race could otherwise drain once live readers
+  /// hold the lock, and with one stale and one live reader the word reads
+  /// 1 both times, so its CAS would wipe the live count (a split then runs
+  /// under that reader, whose unlock underflows the word into a writer bit
+  /// nobody owns).
+  bool begin_claim(std::uint64_t stale_epoch,
+                   std::uint64_t current_epoch) const {
+    std::uint64_t expected = stale_epoch;
+    if (!pmem::pm_cas(epoch_id(), expected, current_epoch | kClaimingBit))
+      return false;
+    drain_stale_readers();
+    return true;
+  }
+
+  void end_claim(std::uint64_t current_epoch) const {
+    pmem::pm_store(epoch_id(), current_epoch);
   }
 
   /// DrainReaders (Function 10): clear a stale reader count left by threads

@@ -724,6 +724,8 @@ bool UPSkipList::check_for_recovery(std::uint32_t level, std::uint64_t node_riv,
   const std::uint64_t current = pm_load(*epoch_word_);
   const std::uint64_t node_epoch = pm_load(node.epoch_id());
   if (UPSL_LIKELY(node_epoch == current)) return false;
+  // Mid-claim by another thread, which will repair it.
+  if (node_epoch == (current | kClaimingBit)) return false;
 
   // Post-recovery throughput throttle (§4.4.1): a traversal repairs at most
   // `budget` incomplete inserts, but an interrupted split (detectable by the
@@ -732,20 +734,25 @@ bool UPSkipList::check_for_recovery(std::uint32_t level, std::uint64_t node_riv,
   const bool lock_held = pm_load(node.lock_word()) != 0;
   if (*recoveries_done >= budget && !lock_held) return false;
 
-  // Reset metadata from the dead epoch before claiming (Function 10 line
-  // 122): stale reader counts would otherwise block writers forever. Live
-  // readers cannot interfere — try_read_lock refuses stale-epoch nodes.
+  // Reset metadata from the dead epoch as part of the claim (Function 10
+  // line 122): stale reader counts would otherwise block writers forever.
+  // Live threads cannot interfere — the locks refuse the node until
+  // end_claim, so the drain and the slot scrub run alone.
   UPSL_CRASH_POINT("core.recovery_draining");
-  node.drain_stale_readers();
-  std::uint64_t expected = node_epoch;
-  if (!pm_cas(node.epoch_id(), expected, current)) {
+  if (!node.begin_claim(node_epoch, current)) {
     return false;  // another thread claimed this node; it will repair it
   }
+  scrub_torn_slots(node);
+  // A writer bit seen while the node is still marked belongs to a split the
+  // crash interrupted. Read it now: once the node is current, a live split
+  // may take the lock, and repairing (and unlocking) that one would run a
+  // second split over it.
+  const bool split_interrupted = node.write_locked();
+  node.end_claim(current);
   persist(&node.epoch_id(), sizeof(std::uint64_t));
   UPSL_CRASH_POINT("core.recovery_claimed");
 
-  scrub_torn_slots(node);
-  check_node_split_recovery(node);
+  if (split_interrupted) check_node_split_recovery(node);
   check_insert_recovery(level, node_riv, node);
   UPSL_CRASH_POINT("core.node_recovered");
   ++*recoveries_done;
@@ -759,9 +766,10 @@ void UPSkipList::scrub_torn_slots(NodeView node) {
   // reverted to kNullKey. Re-assert the free-slot representation
   // (key == kNullKey ⇒ value == kTombstone) before this epoch can reuse
   // the slot — without this, a later claim of the slot could briefly
-  // expose the orphaned value under a new key. Runs once per node, on the
-  // epoch-claim transition: pre-crash nodes all carry a stale epoch, and
-  // try_read_lock refuses stale nodes, so no claim can race this scrub.
+  // expose the orphaned value under a new key. Runs once per node, inside
+  // the epoch claim: try_read_lock refuses the node until end_claim, so no
+  // slot claim can race this scrub (one that did could have its value,
+  // written between the scrub's key and value loads, overwritten here).
   // Idempotent (crashing mid-scrub just redoes it next epoch).
   pmem::FlushSet fs;
   for (std::uint32_t i = 0; i < layout_.keys_per_node; ++i) {
@@ -776,15 +784,16 @@ void UPSkipList::scrub_torn_slots(NodeView node) {
 
 void UPSkipList::check_node_split_recovery(NodeView node) {
   // Function 11: a durable write-lock from a previous epoch means the node
-  // was being split. The new node, if it was linked, is next[0]; complete
-  // the erase phase by tombstoning every key that was copied there — which
-  // is exactly every key at or above its first key. Test that bound, not
-  // membership in next[0]: recovery is lazy, so a traversal that reached
-  // the new node without passing this one (a DRAM index hint, an upper
-  // level) may already have split it again and moved some of the copies
-  // one node further on. With no new node linked, next[0]'s first key
-  // bounds this node's keys and nothing is erased.
-  if (!node.write_locked()) return;
+  // was being split. The caller saw it during the claim, and no live thread
+  // can take or drop the lock while it is set. The new node, if it was
+  // linked, is next[0]; complete the erase phase by tombstoning every key
+  // that was copied there — which is exactly every key at or above its
+  // first key. Test that bound, not membership in next[0]: recovery is
+  // lazy, so a traversal that reached the new node without passing this
+  // one (a DRAM index hint, an upper level) may already have split it
+  // again and moved some of the copies one node further on. With no new
+  // node linked, next[0]'s first key bounds this node's keys and nothing
+  // is erased.
   const std::uint64_t bound = view(pm_load(node.next(0))).first_key();
   for (std::uint32_t i = 0; i < layout_.keys_per_node; ++i) {
     // Mid-erase crash point: dying here leaves the node partially scrubbed
@@ -1005,13 +1014,15 @@ std::optional<std::uint64_t> UPSkipList::search(std::uint64_t key) {
     const std::uint64_t value =
         pm_load(node.value(static_cast<std::uint32_t>(res.key_index)));
     if (pm_load(node.split_count()) != res.split_count) continue;
-    if (value == kTombstone) return std::nullopt;
     // Reader-forced persistence: the insert's linearization point is the
     // persistence of the value; a reader returning it must make sure it is
     // durable first, or a crash could erase a value that was already
-    // observed (§4.5).
+    // observed (§4.5). A tombstone is no different: the remove that wrote
+    // it may not have flushed it yet, and an observed absence must not be
+    // undone by a crash either.
     persist(&node.value(static_cast<std::uint32_t>(res.key_index)),
             sizeof(std::uint64_t));
+    if (value == kTombstone) return std::nullopt;
     return value;
   }
 }
@@ -1351,7 +1362,13 @@ std::optional<std::uint64_t> UPSkipList::remove(std::uint64_t key) {
     std::optional<std::uint64_t> removed;
     while (true) {
       std::uint64_t old = pm_load(word);
-      if (old == kTombstone) break;  // already absent
+      if (old == kTombstone) {
+        // Already absent — but the remove that wrote the tombstone may not
+        // have flushed it yet, or may have died before it could. Acking
+        // "absent" makes the tombstone ours to persist.
+        pmem::ack_persist(&word, sizeof(word));
+        break;
+      }
       if (pm_cas(word, old, kTombstone)) {
         UPSL_CRASH_POINT("core.removed_cas");
         pmem::ack_persist(&word, sizeof(word));

@@ -5,8 +5,10 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <system_error>
 
@@ -117,20 +119,46 @@ Pool::~Pool() {
   if (fd_ >= 0) ::close(fd_);
 }
 
+namespace {
+
+/// Striped spinlocks keyed by line address. Two threads flushing the same
+/// line at once must not interleave their copies: one could load a word
+/// before a racing store, the other load it after and land in the shadow
+/// first, and the older copy would then overwrite the newer one — undoing
+/// a persist that had already returned. A real CLWB writes back whatever
+/// the line holds when it drains, so durable contents never move backwards.
+struct alignas(kCacheLineSize) LineLock {
+  std::atomic<bool> held{false};
+};
+LineLock g_line_locks[256];
+
+LineLock& line_lock(const char* line) {
+  const auto n = reinterpret_cast<std::uintptr_t>(line) / kCacheLineSize;
+  return g_line_locks[n % std::size(g_line_locks)];
+}
+
+}  // namespace
+
 void Pool::persist_range(const void* addr, std::size_t len) {
   if (shadow_ == nullptr || len == 0) return;
   const auto off = static_cast<std::size_t>(static_cast<const char*>(addr) - base_);
   const std::size_t first = align_down(off, kCacheLineSize);
   const std::size_t last = align_up(off + len, kCacheLineSize);
   // Copy line by line with 64-bit atomic loads so racing writers (other
-  // "CPUs" with the line in cache) stay well-defined; the shadow itself is
-  // only touched by persist_range and crash handling.
+  // "CPUs" with the line in cache) stay well-defined, under the line's lock
+  // so racing flushes of one line reach the shadow in load order.
   for (std::size_t line = first; line < last; line += kCacheLineSize) {
     const auto* src = reinterpret_cast<const std::uint64_t*>(base_ + line);
     auto* dst = reinterpret_cast<std::uint64_t*>(shadow_.get() + line);
+    LineLock& lock = line_lock(base_ + line);
+    while (lock.held.exchange(true, std::memory_order_acquire)) {
+      while (lock.held.load(std::memory_order_relaxed)) {
+      }
+    }
     for (std::size_t w = 0; w < kCacheLineSize / sizeof(std::uint64_t); ++w)
       dst[w] = std::atomic_ref<const std::uint64_t>(src[w]).load(
           std::memory_order_acquire);
+    lock.held.store(false, std::memory_order_release);
   }
   Stats::instance().persisted_lines.fetch_add((last - first) / kCacheLineSize,
                                               std::memory_order_relaxed);

@@ -539,6 +539,38 @@ TEST(Crash, RemoveDurability) {
   }
 }
 
+/// A remove that dies between its tombstone CAS and the flush leaves the
+/// tombstone visible but not durable. An operation that then acks the key
+/// as absent must make that absence durable; otherwise the crash brings
+/// back a value the client was told is gone.
+void ack_absent_after_inflight_remove(bool via_search) {
+  StoreHarness h(small_options(4, 10));
+  h.store().insert(42, 1);
+  h.mark_persisted();
+  CrashPoints::instance().arm(crash_tag("core.removed_cas"));
+  try {
+    h.store().remove(42);  // dies before persisting its tombstone
+  } catch (const CrashException&) {
+  }
+  ASSERT_TRUE(CrashPoints::instance().fired());
+  CrashPoints::instance().disarm();
+  if (via_search)
+    EXPECT_FALSE(h.store().search(42).has_value());
+  else
+    EXPECT_FALSE(h.store().remove(42).has_value());
+  h.crash_and_reopen();
+  EXPECT_FALSE(h.store().search(42).has_value())
+      << "acknowledged absence undone by the crash";
+}
+
+TEST(Crash, RemoveFindingAnUnflushedTombstonePersistsIt) {
+  ack_absent_after_inflight_remove(/*via_search=*/false);
+}
+
+TEST(Crash, SearchFindingAnUnflushedTombstonePersistsIt) {
+  ack_absent_after_inflight_remove(/*via_search=*/true);
+}
+
 TEST(Crash, EpochBumpIsTheOnlyRecoveryCost) {
   // Table 5.4's claim: reconnect + one persisted epoch increment, no scan.
   StoreHarness h(small_options(8, 12));

@@ -147,6 +147,34 @@ TEST(LinCheck, PendingWriteMayOrMayNotTakeEffect) {
                   .linearizable);
 }
 
+TEST(LinCheck, TwoObservedPendingWritesSpliceInRealTimeOrder) {
+  // Two writes in flight at one crash, each observed by a later completed
+  // swap. Splicing 20 first gives 10 -> 20 -> 40 -> 30 -> 35, which
+  // contradicts real time (35 completed before 40 was invoked); splicing 30
+  // first gives the legal 10 -> 30 -> 35 -> 20 -> 40. The checker must find
+  // the legal order whatever order it meets the bridges in.
+  EXPECT_TRUE(check_strict({
+                               write_op(0, 1, 10, kInitialValue, 1, 2),
+                               write_op(1, 1, 30, 0, 3, 0, 1, false),
+                               write_op(0, 1, 35, 30, 4, 5),
+                               write_op(2, 1, 20, 0, 6, 0, 1, false),
+                               write_op(1, 1, 40, 20, 1, 2, 2),
+                           })
+                  .linearizable);
+  // A late swap that observed 10 forces both bridges after it, but both
+  // swaps that observed them completed before it was invoked: no splice
+  // order is legal.
+  EXPECT_FALSE(check_strict({
+                                write_op(0, 1, 10, kInitialValue, 1, 2),
+                                write_op(1, 1, 30, 0, 3, 0, 1, false),
+                                write_op(0, 1, 35, 30, 4, 5),
+                                write_op(2, 1, 20, 0, 6, 0, 1, false),
+                                write_op(0, 1, 40, 20, 7, 8),
+                                write_op(3, 1, 50, 10, 100, 101),
+                            })
+                   .linearizable);
+}
+
 TEST(LinCheck, StrictViolationEffectAfterCrash) {
   // A write pending at the epoch-1 crash is observed as coming *after* an
   // epoch-2 write — it took effect after the crash: strict violation.

@@ -2,9 +2,13 @@
 // persistence-domain semantics, crash modes, registry lookups, remapping.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <barrier>
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "pmem/ack_batch.hpp"
 #include "pmem/flush_set.hpp"
@@ -90,6 +94,37 @@ TEST(Pool, RandomEvictCrashKeepsSubsetOfLines) {
   const std::size_t lines = p->size() / kCacheLineSize;
   EXPECT_GT(survivors, lines / 4);
   EXPECT_LT(survivors, lines * 3 / 4);
+}
+
+TEST(Pool, RacingFlushesOfOneLineNeverUndoAPersist) {
+  // Each thread stores its own word of one shared line and persists it,
+  // then every round crashes and checks each word reads back. Flushes of
+  // the line race with each other's stores; none may copy a stale word
+  // over one that another thread's returned persist already made durable.
+  auto p = Pool::create_anonymous(0, 4096, {.crash_tracking = true});
+  auto* words = reinterpret_cast<std::uint64_t*>(p->base());
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kRounds = 100000;
+  std::uint64_t round = 1;
+  std::uint64_t undone = 0;
+  std::barrier sync(kThreads, [&]() noexcept {
+    p->simulate_crash();  // every thread is parked at the barrier
+    for (int t = 0; t < kThreads; ++t)
+      if (std::atomic_ref<std::uint64_t>(words[t]).load() != round) ++undone;
+    ++round;
+  });
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::uint64_t r = 1; r <= kRounds; ++r) {
+        std::atomic_ref<std::uint64_t>(words[t]).store(r);
+        persist(&words[t], sizeof(std::uint64_t));
+        sync.arrive_and_wait();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(undone, 0u) << "persisted words lost to a racing flush";
 }
 
 TEST(Pool, NonTrackingPoolPersistIsNoop) {

@@ -551,5 +551,38 @@ TEST(UPSkipList, NodeLayoutOffsets) {
   EXPECT_GE(layout.node_size(), layout.next_offset() + 8 * 12);
 }
 
+TEST(UPSkipList, RecoveryClaimDrainsOnlyWhileNoReaderCanLock) {
+  // Function 10's drain, and the slot scrub after it, must never meet a
+  // live thread. While one thread claims a stale node, the epoch word is
+  // neither stale nor current: the locks refuse the node, and a second
+  // recovering thread that loaded the stale epoch earlier loses the claim
+  // without touching the lock word.
+  NodeLayout layout{4, 4};
+  alignas(kCacheLineSize) char buf[512] = {};
+  ASSERT_LE(layout.node_size(), sizeof buf);
+  NodeView node(buf, &layout);
+  constexpr std::uint64_t kStale = 3;
+  constexpr std::uint64_t kCurrent = 4;
+
+  node.epoch_id() = kStale;
+  node.lock_word() = kWriterBit | 2;  // dead writer + two dead readers
+  ASSERT_TRUE(node.begin_claim(kStale, kCurrent));
+  EXPECT_EQ(node.lock_word(), kWriterBit) << "stale readers must be drained";
+  node.lock_word() = 1;  // pretend one dead reader is still counted
+  EXPECT_FALSE(node.try_read_lock(kCurrent));
+  EXPECT_FALSE(node.try_write_lock(kCurrent));
+  EXPECT_FALSE(node.begin_claim(kStale, kCurrent));
+  EXPECT_EQ(node.lock_word(), 1u) << "a losing claim touched the lock word";
+  node.lock_word() = 0;
+  node.end_claim(kCurrent);
+  EXPECT_EQ(node.epoch_id(), kCurrent);
+
+  ASSERT_TRUE(node.try_read_lock(kCurrent));
+  EXPECT_FALSE(node.begin_claim(kStale, kCurrent));  // a late loser
+  EXPECT_EQ(node.lock_word(), 1u) << "a live reader's count was wiped";
+  node.read_unlock();
+  EXPECT_FALSE(node.write_locked());
+}
+
 }  // namespace
 }  // namespace upsl::core
