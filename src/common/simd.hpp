@@ -19,7 +19,10 @@
 // 8-byte words, which x86 loads whole, and every caller already validates
 // scan results against the node's split counter, so a racing slot-claim CAS
 // is observed as either the old or the new key — the same outcomes the
-// scalar pm_load scan produced.
+// scalar pm_load scan produced. ThreadSanitizer cannot see vector loads as
+// atomic, so a TSan build dispatches the scalar kernels, whose key reads
+// (load_key) become relaxed atomic loads there: the race is by design, and
+// TSan checks everything around it.
 //
 // Kernel contract (shared by all ISA variants, verified by the differential
 // tests in tests/simd_test.cpp):
@@ -60,11 +63,20 @@ using RangeMaskFn = std::uint32_t (*)(const std::uint64_t*, std::uint32_t,
 
 // ---- scalar kernels (portable reference) ----------------------------------
 
+/// One key-slot read of a scalar kernel (see the header comment).
+UPSL_ALWAYS_INLINE std::uint64_t load_key(const std::uint64_t* p) {
+#if defined(__SANITIZE_THREAD__)
+  return __atomic_load_n(p, __ATOMIC_RELAXED);
+#else
+  return *p;
+#endif
+}
+
 inline std::int32_t find_u64_scalar(const std::uint64_t* keys,
                                     std::uint32_t begin, std::uint32_t end,
                                     std::uint64_t target) {
   for (std::uint32_t i = begin; i < end; ++i)
-    if (keys[i] == target) return static_cast<std::int32_t>(i);
+    if (load_key(keys + i) == target) return static_cast<std::int32_t>(i);
   return -1;
 }
 
@@ -73,7 +85,7 @@ inline std::int32_t find_sorted_u64_scalar(const std::uint64_t* keys,
                                            std::uint32_t end,
                                            std::uint64_t target) {
   for (std::uint32_t i = begin; i < end; ++i) {
-    const std::uint64_t k = keys[i];
+    const std::uint64_t k = load_key(keys + i);
     if (k == target) return static_cast<std::int32_t>(i);
     if (k > target) return -1;  // nulls (0) never trip this: target >= 1
   }
@@ -87,7 +99,7 @@ inline std::uint32_t range_mask_u64_scalar(const std::uint64_t* keys,
   for (std::uint32_t w = 0; w < (count + 63) / 64; ++w) mask[w] = 0;
   std::uint32_t matches = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint64_t k = keys[i];
+    const std::uint64_t k = load_key(keys + i);
     if (k >= lo && k <= hi) {
       mask[i >> 6] |= 1ULL << (i & 63);
       ++matches;
@@ -252,7 +264,7 @@ inline constexpr Kernels kAvx2Kernels{&find_u64_avx2, &find_sorted_u64_avx2,
 #endif
 
 inline const Kernels* kernels_for(SimdLevel level) {
-#ifdef UPSL_SIMD_X86
+#if defined(UPSL_SIMD_X86) && !defined(__SANITIZE_THREAD__)
   if (level == SimdLevel::kAvx2) return &kAvx2Kernels;
   if (level == SimdLevel::kSse2) return &kSse2Kernels;
 #else

@@ -86,6 +86,76 @@ riv::DataHandle DramIndex::seek(std::uint64_t key, std::uint64_t* hops) const {
   return {pred->data_riv, pred->data_ptr};
 }
 
+void DramIndex::seek_many(const std::uint64_t* keys, std::size_t n,
+                          riv::DataHandle* out, std::uint64_t* hops) const {
+  // One descent per lane, in the same steps as seek(): `cur` is the node
+  // the lane reads next (already prefetched), at slot level `level` below
+  // `pred`. A step reads it, counts the hop, and moves right or down.
+  struct Lane {
+    std::uint64_t key;
+    std::size_t idx;
+    const IndexNode* pred;
+    const IndexNode* cur;
+    std::int32_t level;
+  };
+  // Find the lane's next node: the first non-null slot of pred at or below
+  // the lane's level. Reads only pred, which the lane already holds. False
+  // once the lane is past level 0.
+  auto advance = [](Lane& ln) {
+    for (; ln.level >= 0; --ln.level) {
+      ln.cur = slot_load(ln.pred, static_cast<std::uint32_t>(ln.level));
+      if (ln.cur != nullptr) {
+        UPSL_PREFETCH(ln.cur);
+        UPSL_PREFETCH(ln.cur->slots() + ln.level);
+        return true;
+      }
+    }
+    return false;
+  };
+  auto finish = [&](const Lane& ln) {
+    out[ln.idx] = ln.pred == head_
+                      ? riv::DataHandle{}
+                      : riv::DataHandle{ln.pred->data_riv, ln.pred->data_ptr};
+  };
+  const auto top =
+      static_cast<std::int32_t>(top_.load(std::memory_order_acquire));
+  std::size_t next = 0;
+  // Start the next unstarted key on `ln`; keys whose descent is empty
+  // finish at once. False when no key is left.
+  auto refill = [&](Lane& ln) {
+    while (next < n) {
+      ln = Lane{keys[next], next, head_, nullptr, top - 1};
+      ++next;
+      if (advance(ln)) return true;
+      finish(ln);
+    }
+    return false;
+  };
+
+  Lane lanes[kSeekLanes];
+  unsigned active = 0;
+  while (active < kSeekLanes && refill(lanes[active])) ++active;
+  std::uint64_t h = 0;
+  for (unsigned i = 0; active > 0; i = i + 1 < active ? i + 1 : 0) {
+    Lane& ln = lanes[i];
+    ++h;
+    if (ln.cur->key > ln.key)
+      --ln.level;
+    else
+      ln.pred = ln.cur;
+    if (advance(ln)) continue;
+    finish(ln);
+    if (!refill(ln)) {
+      // Retire the lane: the last active lane moves into its place, and
+      // the loop revisits this index next.
+      ln = lanes[--active];
+      if (active == 0) break;
+      i = i == 0 ? active - 1 : i - 1;
+    }
+  }
+  *hops += h;
+}
+
 bool DramIndex::find(std::uint64_t key, IndexNode** preds, IndexNode** succs,
                      IndexNode** match) const {
   // Cover every slot level (not just [0, top_)): an inserter taller than the

@@ -57,6 +57,14 @@ class DramIndex {
   /// Adds the number of DRAM nodes visited to *hops. Wait-free.
   riv::DataHandle seek(std::uint64_t key, std::uint64_t* hops) const;
 
+  /// Batched seek: out[i] = seek(keys[i]) for i < n, with the same hop
+  /// total. Up to kSeekLanes descents run interleaved, one hop per lane per
+  /// round, and each lane prefetches the node it visits next, so the lanes'
+  /// cache misses overlap instead of serialising. Wait-free.
+  void seek_many(const std::uint64_t* keys, std::size_t n,
+                 riv::DataHandle* out, std::uint64_t* hops) const;
+  static constexpr unsigned kSeekLanes = 16;
+
   /// Register a data node (idempotent — concurrent and repeated calls for
   /// the same key collapse to one entry; the slot-0 CAS is the linearization
   /// point). Ordinary volatile CASes, nothing is flushed. No-op for

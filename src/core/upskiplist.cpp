@@ -10,6 +10,7 @@
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "common/checksum.hpp"
 #include "common/crashpoint.hpp"
@@ -561,11 +562,11 @@ std::int32_t UPSkipList::scan_internal_keys(NodeView node,
   return simd::find_u64(keys, first_unsorted, layout_.keys_per_node, key);
 }
 
-UPSkipList::TraverseResult UPSkipList::traverse(std::uint64_t key,
-                                                std::uint64_t* preds,
-                                                std::uint64_t* succs,
-                                                std::uint32_t recovery_budget) {
-  if (index_ != nullptr) return traverse_dram(key, preds, succs, recovery_budget);
+UPSkipList::TraverseResult UPSkipList::traverse(
+    std::uint64_t key, std::uint64_t* preds, std::uint64_t* succs,
+    std::uint32_t recovery_budget, const riv::DataHandle* hint) {
+  if (index_ != nullptr)
+    return traverse_dram(key, preds, succs, recovery_budget, hint);
   return traverse_pmem(key, preds, succs, recovery_budget);
 }
 
@@ -637,7 +638,7 @@ restart:
 
 UPSkipList::TraverseResult UPSkipList::traverse_dram(
     std::uint64_t key, std::uint64_t* preds, std::uint64_t* succs,
-    std::uint32_t recovery_budget) {
+    std::uint32_t recovery_budget, const riv::DataHandle* hint) {
   std::uint32_t recoveries = 0;
   std::uint64_t dram_hops = 0;
   std::uint64_t pmem_visits = 0;
@@ -654,16 +655,19 @@ restart:
     succs[l] = tail_riv_;
   }
 
-  const riv::DataHandle hint = index_->seek(key, &dram_hops);
+  // A caller's hint stands in for the first seek only; a restart re-seeks.
+  const riv::DataHandle start = hint != nullptr
+                                    ? *std::exchange(hint, nullptr)
+                                    : index_->seek(key, &dram_hops);
   std::uint64_t pred_riv;
   NodeView pred;
-  if (!hint.is_null()) {
+  if (!start.is_null()) {
     // First keys are immutable and data nodes are never removed, so the
     // hint's first_key <= key holds no matter how stale the registration
     // is. The hint node still needs the epoch check: a durably locked
     // stale node must be claimed and repaired before its keys are usable.
-    pred_riv = hint.riv;
-    pred = NodeView(static_cast<char*>(hint.ptr), &layout_);
+    pred_riv = start.riv;
+    pred = NodeView(static_cast<char*>(start.ptr), &layout_);
     ++pmem_visits;
     if (check_for_recovery(0, pred_riv, pred, &recoveries, recovery_budget))
       goto restart;
@@ -992,13 +996,52 @@ void UPSkipList::rebuild_persistent_towers() {
 std::optional<std::uint64_t> UPSkipList::search(std::uint64_t key) {
   if (key == kNullKey || key == kTailKey)
     throw std::invalid_argument("key out of user range");
+  return search_from(key, nullptr);
+}
+
+void UPSkipList::search_many(const std::uint64_t* keys, std::size_t n,
+                             std::optional<std::uint64_t>* out) {
+  for (std::size_t i = 0; i < n; ++i)
+    if (keys[i] == kNullKey || keys[i] == kTailKey)
+      throw std::invalid_argument("key out of user range");
+  if (index_ == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = search_from(keys[i], nullptr);
+    return;
+  }
+  // Hints stay valid however late they are used: a node's first key is
+  // immutable and data nodes are never freed (docs/dram-index.md §1).
+  riv::DataHandle hints[DramIndex::kSeekLanes];
+  for (std::size_t base = 0; base < n; base += DramIndex::kSeekLanes) {
+    const std::size_t m = std::min<std::size_t>(n - base, DramIndex::kSeekLanes);
+    std::uint64_t hops = 0;
+    index_->seek_many(keys + base, m, hints, &hops);
+    auto& st = pmem::Stats::instance();
+    st.index_hops.fetch_add(hops, std::memory_order_relaxed);
+    st.dram_node_visits.fetch_add(hops, std::memory_order_relaxed);
+    // The level-0 walks start at the hint nodes: pull in each one's header,
+    // level-0 link and leading key lines before the first walk needs them.
+    for (std::size_t i = 0; i < m; ++i) {
+      if (hints[i].is_null()) continue;
+      const NodeView v(static_cast<char*>(hints[i].ptr), &layout_);
+      UPSL_PREFETCH(hints[i].ptr);
+      UPSL_PREFETCH(&v.next(0));
+      prefetch_keys(v);
+    }
+    for (std::size_t i = 0; i < m; ++i)
+      out[base + i] = search_from(keys[base + i], &hints[i]);
+  }
+}
+
+std::optional<std::uint64_t> UPSkipList::search_from(
+    std::uint64_t key, const riv::DataHandle* hint) {
   std::uint64_t preds[64];
   std::uint64_t succs[64];
   SpinGuard guard("search");
   while (true) {
     guard.tick();
-    const TraverseResult res =
-        traverse(key, preds, succs, opts_.recovery_budget);
+    const TraverseResult res = traverse(key, preds, succs,
+                                        opts_.recovery_budget,
+                                        std::exchange(hint, nullptr));
     NodeView node = view(preds[0]);
     if (!res.found) {
       if (preds[0] == head_riv_) return std::nullopt;

@@ -153,6 +153,14 @@ class UPSkipList {
   /// Search (Function 9): wait-free read.
   std::optional<std::uint64_t> search(std::uint64_t key);
 
+  /// Batched search: out[i] = search(keys[i]) for i < n, each linearized
+  /// on its own. The DRAM-index descents of all n keys run interleaved
+  /// (DramIndex::seek_many) so their cache misses overlap; each key then
+  /// finishes through search()'s level-0 walk, validation and
+  /// reader-forced persist. Towers mode searches key by key.
+  void search_many(const std::uint64_t* keys, std::size_t n,
+                   std::optional<std::uint64_t>* out);
+
   bool contains(std::uint64_t key) { return search(key).has_value(); }
 
   /// Remove (§4.6): tombstones the value. Returns the removed value.
@@ -335,14 +343,21 @@ class UPSkipList {
                           std::uint64_t value, std::uint32_t height,
                           const std::uint64_t* succs);
 
+  /// `hint`, when given, replaces the first DRAM-index seek (a restart
+  /// re-seeks); it must be what DramIndex::seek returned for `key`, at any
+  /// earlier time.
   TraverseResult traverse(std::uint64_t key, std::uint64_t* preds,
-                          std::uint64_t* succs, std::uint32_t recovery_budget);
+                          std::uint64_t* succs, std::uint32_t recovery_budget,
+                          const riv::DataHandle* hint = nullptr);
   TraverseResult traverse_pmem(std::uint64_t key, std::uint64_t* preds,
                                std::uint64_t* succs,
                                std::uint32_t recovery_budget);
   TraverseResult traverse_dram(std::uint64_t key, std::uint64_t* preds,
                                std::uint64_t* succs,
-                               std::uint32_t recovery_budget);
+                               std::uint32_t recovery_budget,
+                               const riv::DataHandle* hint);
+  std::optional<std::uint64_t> search_from(std::uint64_t key,
+                                           const riv::DataHandle* hint);
   std::int32_t scan_internal_keys(NodeView node, std::uint64_t key) const;
 
   void register_in_index(std::uint64_t node_riv);

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <mutex>
 #include <unordered_map>
 
 #include "common/shardmap.hpp"
@@ -32,6 +33,29 @@ namespace {
 std::atomic<bool> g_signal_stop{false};
 
 void on_stop_signal(int) { g_signal_stop.store(true, std::memory_order_release); }
+
+/// Keys 0 and ~0 are the store's head and tail sentinels, and value ~0 is
+/// its tombstone (core/node.hpp); the store throws on them. A request that
+/// carries one is answered kError without reaching the store.
+bool has_reserved_operand(const Request& r) {
+  const bool key = r.key == core::kNullKey || r.key == core::kTailKey;
+  switch (r.op) {
+    case Opcode::kGet:
+    case Opcode::kRemove:
+    case Opcode::kDRemove:
+      return key;
+    case Opcode::kPut:
+    case Opcode::kUpdate:
+    case Opcode::kDPut:
+    case Opcode::kDUpdate:
+      return key || r.value == core::kTombstone;
+    default:
+      return false;
+  }
+}
+
+/// Shard index marking a GET that is answered kError instead of searched.
+constexpr std::uint32_t kReservedGet = ~0u;
 
 #ifndef EPOLLEXCLUSIVE
 #define EPOLLEXCLUSIVE (1u << 28)
@@ -75,8 +99,27 @@ struct Server::Conn {
 struct Server::Worker {
   unsigned shard = 0;  // which shard's listen socket / committer this serves
   int epoll_fd = -1;
-  int event_fd = -1;  // poked by the shard's group committer after each fence
+  /// The worker's one wake: poked after a connection lands in its inbox and,
+  /// with group commit, by the shard's committer after each fence.
+  int event_fd = -1;
   std::unordered_map<int, Conn> conns;
+  /// Connections placed on this worker and not yet closed, inbox included:
+  /// what placement compares and what STATS reports.
+  std::atomic<std::uint32_t> connections{0};
+  std::atomic<std::uint64_t> frames{0};  // written by this worker only
+  /// Accepted sockets another worker of the shard handed to this one.
+  std::mutex inbox_mu;
+  std::vector<int> inbox;
+  /// The current run of consecutive GETs in execute_batch, plus one shard's
+  /// search_many keys and results. Reused across batches.
+  struct PendingGet {
+    std::uint64_t key;
+    std::uint32_t shard;  // kReservedGet: answered kError, never searched
+    std::optional<std::uint64_t> value;
+  };
+  std::vector<PendingGet> gets;
+  std::vector<std::uint64_t> shard_keys;
+  std::vector<std::optional<std::uint64_t>> shard_vals;
 };
 
 Server::Server(core::UPSkipList& store, ServerOptions opts)
@@ -175,9 +218,9 @@ bool Server::start() {
       auto w = std::make_unique<Worker>();
       w->shard = s;
       w->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-      if (w->epoll_fd >= 0 && !gcs_.empty())
+      if (w->epoll_fd >= 0)
         w->event_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-      if (w->epoll_fd < 0 || (!gcs_.empty() && w->event_fd < 0)) {
+      if (w->epoll_fd < 0 || w->event_fd < 0) {
         if (w->epoll_fd >= 0) ::close(w->epoll_fd);
         return fail();
       }
@@ -185,13 +228,11 @@ bool Server::start() {
       ev.events = EPOLLIN | EPOLLEXCLUSIVE;
       ev.data.fd = listen_fds_[s];
       ::epoll_ctl(w->epoll_fd, EPOLL_CTL_ADD, listen_fds_[s], &ev);
-      if (w->event_fd >= 0) {
-        epoll_event eev = {};
-        eev.events = EPOLLIN;
-        eev.data.fd = w->event_fd;
-        ::epoll_ctl(w->epoll_fd, EPOLL_CTL_ADD, w->event_fd, &eev);
-        gcs_[s]->add_notify_fd(w->event_fd);
-      }
+      epoll_event eev = {};
+      eev.events = EPOLLIN;
+      eev.data.fd = w->event_fd;
+      ::epoll_ctl(w->epoll_fd, EPOLL_CTL_ADD, w->event_fd, &eev);
+      if (!gcs_.empty()) gcs_[s]->add_notify_fd(w->event_fd);
       workers_.push_back(std::move(w));
     }
   }
@@ -213,7 +254,14 @@ void Server::wait() {
     // notification fds.
     for (auto& gc : gcs_) gc->shutdown();
     for (auto& w : workers_) {
-      if (w->event_fd >= 0) ::close(w->event_fd);
+      // Handed to a worker after it drained: never served, so just closed.
+      for (const int fd : w->inbox) {
+        ::close(fd);
+        w->connections.fetch_sub(1, std::memory_order_relaxed);
+        stats_.connections_closed.fetch_add(1, std::memory_order_relaxed);
+      }
+      w->inbox.clear();
+      ::close(w->event_fd);
       ::close(w->epoll_fd);
     }
     workers_.clear();
@@ -286,24 +334,20 @@ void Server::worker_main(unsigned global_index) {
           if (cfd < 0) break;  // EAGAIN (or a raced accept) — done for now
           const int one = 1;
           ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-          epoll_event ev = {};
-          ev.events = EPOLLIN;
-          ev.data.fd = cfd;
-          if (::epoll_ctl(w.epoll_fd, EPOLL_CTL_ADD, cfd, &ev) != 0) {
-            ::close(cfd);
-            continue;
-          }
-          w.conns[cfd].fd = cfd;
           stats_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
+          place(w, cfd);
         }
         continue;
       }
       if (fd == w.event_fd) {
-        // The committer fenced: some parked responses became releasable.
+        // A connection was handed over, or the committer fenced and some
+        // parked responses became releasable. Consume the wake before
+        // taking the inbox, so a handoff after the take wakes us again.
         std::uint64_t ticks;
         while (::read(w.event_fd, &ticks, sizeof ticks) > 0) {
         }
-        release_committed(w);
+        adopt_inbox(w);
+        if (shard_gc(w) != nullptr) release_committed(w);
         continue;
       }
       auto it = w.conns.find(fd);
@@ -321,6 +365,57 @@ void Server::worker_main(unsigned global_index) {
       if (c.fd < 0) w.conns.erase(it);
     }
   }
+}
+
+/// Connection placement: the accepting worker keeps the connection unless
+/// another worker of its shard has strictly fewer, in which case the first
+/// such least-loaded worker gets it through its inbox. A lone connection
+/// (say, the first one after a restart) is therefore never handed off.
+void Server::place(Worker& w, int fd) {
+  Worker* owner = &w;
+  std::uint32_t least = w.connections.load(std::memory_order_relaxed);
+  for (unsigned i = 0; i < opts_.workers; ++i) {
+    Worker& v = *workers_[w.shard * opts_.workers + i];
+    const std::uint32_t load = v.connections.load(std::memory_order_relaxed);
+    if (load < least) {
+      owner = &v;
+      least = load;
+    }
+  }
+  owner->connections.fetch_add(1, std::memory_order_relaxed);
+  if (owner == &w) {
+    adopt(w, fd);
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lk(owner->inbox_mu);
+    owner->inbox.push_back(fd);
+  }
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(owner->event_fd, &one, sizeof one);
+  stats_.connections_handed_off.fetch_add(1, std::memory_order_relaxed);
+}
+
+void Server::adopt(Worker& w, int fd) {
+  epoll_event ev = {};
+  ev.events = EPOLLIN;
+  ev.data.fd = fd;
+  if (::epoll_ctl(w.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    ::close(fd);
+    w.connections.fetch_sub(1, std::memory_order_relaxed);
+    stats_.connections_closed.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  w.conns[fd].fd = fd;
+}
+
+void Server::adopt_inbox(Worker& w) {
+  std::vector<int> fds;
+  {
+    std::lock_guard<std::mutex> lk(w.inbox_mu);
+    fds.swap(w.inbox);
+  }
+  for (const int fd : fds) adopt(w, fd);
 }
 
 void Server::handle_readable(Worker& w, Conn& c) {
@@ -369,6 +464,11 @@ void Server::handle_readable(Worker& w, Conn& c) {
 /// into c.out, then commits the batch: one fence if anything mutated, one
 /// send() for all responses. Returns true if a full batch was executed and
 /// more complete frames may still be buffered.
+///
+/// Consecutive GETs are collected into a run and searched together per
+/// shard (UPSkipList::search_many). The run executes before any other op
+/// and at the end of the batch, so responses and read-your-writes keep
+/// pipeline order.
 bool Server::execute_batch(Worker& w, Conn& c) {
   std::size_t off = 0;
   unsigned executed = 0;
@@ -387,6 +487,7 @@ bool Server::execute_batch(Worker& w, Conn& c) {
   // fences at once.
   GroupCommit* gc = shard_gc(w);
   BatchScope open_batch(gc);
+  const auto shards = static_cast<std::uint32_t>(stores_.size());
   while (executed < opts_.max_batch) {
     Request req;
     std::size_t consumed = 0;
@@ -394,12 +495,22 @@ bool Server::execute_batch(Worker& w, Conn& c) {
         parse_request(c.in.data() + off, c.in.size() - off, &req, &consumed);
     if (pr == ParseResult::kBad) {
       stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+      w.gets.clear();
       close_conn(w, c);
       return false;
     }
     if (pr == ParseResult::kNeedMore) break;
     off += consumed;
     ++executed;
+    if (req.op == Opcode::kGet) {
+      w.gets.push_back({req.key,
+                        has_reserved_operand(req)
+                            ? kReservedGet
+                            : shard_of_key(req.key, shards),
+                        std::nullopt});
+      continue;
+    }
+    execute_gets(w, c);
     bool op_mutated = false;
     // A SCANS response may stream each chunk frame out as soon as it is
     // encoded — but only when nothing already in c.out is parked behind an
@@ -414,10 +525,13 @@ bool Server::execute_batch(Worker& w, Conn& c) {
     }
     if (c.fd < 0) return false;  // a streaming flush hit a dead socket
   }
+  execute_gets(w, c);
   if (off > 0) c.in.erase(c.in.begin(), c.in.begin() + off);
   if (executed == 0) return false;
 
   stats_.frames.fetch_add(executed, std::memory_order_relaxed);
+  w.frames.store(w.frames.load(std::memory_order_relaxed) + executed,
+                 std::memory_order_relaxed);
   stats_.batches.fetch_add(1, std::memory_order_relaxed);
   if (mutations > 0) {
     if (gc != nullptr) {
@@ -447,6 +561,35 @@ bool Server::execute_batch(Worker& w, Conn& c) {
   }
   flush_out(w, c);
   return c.fd >= 0 && executed == opts_.max_batch && !c.in.empty();
+}
+
+void Server::execute_gets(Worker& w, Conn& c) {
+  if (w.gets.empty()) return;
+  stats_.gets.fetch_add(w.gets.size(), std::memory_order_relaxed);
+  for (std::uint32_t s = 0; s < stores_.size(); ++s) {
+    w.shard_keys.clear();
+    for (const Worker::PendingGet& g : w.gets)
+      if (g.shard == s) w.shard_keys.push_back(g.key);
+    const std::size_t m = w.shard_keys.size();
+    if (m == 0) continue;
+    shard_ops_[s].fetch_add(m, std::memory_order_relaxed);
+    if (s != w.shard)
+      stats_.cross_shard_ops.fetch_add(m, std::memory_order_relaxed);
+    w.shard_vals.resize(m);
+    stores_[s]->search_many(w.shard_keys.data(), m, w.shard_vals.data());
+    auto v = w.shard_vals.begin();
+    for (Worker::PendingGet& g : w.gets)
+      if (g.shard == s) g.value = *v++;
+  }
+  for (const Worker::PendingGet& g : w.gets) {
+    if (g.shard == kReservedGet)
+      encode_response_empty(Status::kError, c.out);
+    else if (g.value)
+      encode_response_value(Status::kOk, *g.value, c.out);
+    else
+      encode_response_empty(Status::kNotFound, c.out);
+  }
+  w.gets.clear();
 }
 
 void Server::execute_one(Worker& w, Conn& c, const Request& req,
@@ -503,16 +646,13 @@ void Server::execute_one(Worker& w, Conn& c, const Request& req,
       encode_response_empty(fresh_empty_status, out);
     }
   };
+  if (has_reserved_operand(req)) {
+    encode_response_empty(Status::kError, out);
+    return;
+  }
   switch (req.op) {
-    case Opcode::kGet: {
-      stats_.gets.fetch_add(1, std::memory_order_relaxed);
-      const auto v = route(req.key).search(req.key);
-      if (v)
-        encode_response_value(Status::kOk, *v, out);
-      else
-        encode_response_empty(Status::kNotFound, out);
+    case Opcode::kGet:  // execute_batch runs GETs through execute_gets
       break;
-    }
     case Opcode::kPut:
     case Opcode::kUpdate: {
       stats_.puts.fetch_add(1, std::memory_order_relaxed);
@@ -787,6 +927,7 @@ void Server::close_conn(Worker& w, Conn& c) {
   ::epoll_ctl(w.epoll_fd, EPOLL_CTL_DEL, c.fd, nullptr);
   ::close(c.fd);
   c.fd = -1;
+  w.connections.fetch_sub(1, std::memory_order_relaxed);
   stats_.connections_closed.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -797,6 +938,7 @@ void Server::drain_worker(Worker& w) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(opts_.drain_timeout_sec);
   GroupCommit* gc = shard_gc(w);
+  adopt_inbox(w);
   std::vector<int> fds;
   fds.reserve(w.conns.size());
   for (auto& [fd, conn] : w.conns) fds.push_back(fd);
@@ -848,6 +990,8 @@ std::string Server::stats_json() const {
               s.connections_accepted.load(std::memory_order_relaxed)) + ", ";
   json += u64("connections_closed",
               s.connections_closed.load(std::memory_order_relaxed)) + ", ";
+  json += u64("connections_handed_off",
+              s.connections_handed_off.load(std::memory_order_relaxed)) + ", ";
   json += u64("frames", s.frames.load(std::memory_order_relaxed)) + ", ";
   json += u64("batches", s.batches.load(std::memory_order_relaxed)) + ", ";
   json += u64("batch_fences",
@@ -901,6 +1045,20 @@ std::string Server::stats_json() const {
     json += u64("index_entries", st->index_entries()) + ", ";
     json += u64("index_rebuild_ns", st->last_index_rebuild_ns());
     json += "}";
+  }
+  json += "], ";
+  // Per-worker load, shard-major (shard s's workers are entries
+  // [s * workers, (s + 1) * workers)): live connections, from the same
+  // counter placement compares, and frames executed.
+  json += "\"workers\": [";
+  for (std::size_t i = 0; i < workers_.size(); ++i) {
+    if (i > 0) json += ", ";
+    json += "{" +
+            u64("connections",
+                workers_[i]->connections.load(std::memory_order_relaxed)) +
+            ", " +
+            u64("frames", workers_[i]->frames.load(std::memory_order_relaxed)) +
+            "}";
   }
   json += "], ";
   json += "\"group_commit\": {";

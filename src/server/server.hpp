@@ -22,14 +22,19 @@
 // Threading model (per shard): W worker threads, each with its own epoll
 // instance. The (non-blocking) listen socket is registered level-triggered
 // in every worker's epoll set with EPOLLEXCLUSIVE, so the kernel wakes one
-// worker per pending connection; the accepting worker owns the connection
-// for its whole life — per-connection state is never shared between threads.
+// worker per pending connection. That worker places the connection: it
+// keeps it unless another worker of the shard has strictly fewer live
+// connections, and then hands it over through that worker's inbox and wake
+// eventfd. The owner serves the connection for its whole life —
+// per-connection state is never shared between threads.
 //
 // Pipelining: a wakeup drains the socket, parses every complete frame that
 // arrived, executes the whole batch back-to-back against the store, and only
-// then writes the concatenated responses with one send(). Each mutating
-// operation is individually durable before it returns (the store persists
-// internally), and the server issues one extra pmem::fence() per batch that
+// then writes the concatenated responses with one send(). Runs of
+// consecutive GETs are searched together (UPSkipList::search_many), so their
+// index descents overlap; the run executes before the next other op. Each
+// mutating operation is individually durable before it returns (the store
+// persists internally), and the server issues one extra pmem::fence() per batch that
 // contained a mutation before any response byte leaves — acknowledgements
 // are ordered after durability with one fence per batch, not one per op.
 // A peer's half-close (FIN) ends only its input: the frames it sent before
@@ -97,6 +102,9 @@ struct ServerOptions {
 struct ServerStats {
   std::atomic<std::uint64_t> connections_accepted{0};
   std::atomic<std::uint64_t> connections_closed{0};
+  /// Accepted connections placed on a less-loaded worker than the one the
+  /// kernel woke to accept them.
+  std::atomic<std::uint64_t> connections_handed_off{0};
   std::atomic<std::uint64_t> frames{0};
   std::atomic<std::uint64_t> batches{0};
   std::atomic<std::uint64_t> batch_fences{0};
@@ -178,6 +186,13 @@ class Server {
   void worker_main(unsigned global_index);
   void handle_readable(Worker& w, Conn& c);
   bool execute_batch(Worker& w, Conn& c);
+  /// Executes and answers the GET run w.gets collected, in order.
+  void execute_gets(Worker& w, Conn& c);
+  /// Gives an accepted socket to the least-loaded worker of w's shard
+  /// (w itself on a tie).
+  void place(Worker& w, int fd);
+  void adopt(Worker& w, int fd);
+  void adopt_inbox(Worker& w);
   /// `allow_stream` permits SCANS to release+flush each chunk frame as soon
   /// as it is encoded (nothing ahead of it in c.out is waiting on a fence).
   void execute_one(Worker& w, Conn& c, const struct Request& req,

@@ -17,6 +17,7 @@
 //     it between reopens migrates the store in both directions losslessly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -334,6 +335,60 @@ TEST(DramIndex, TraversalCountersSplitByMode) {
   d = pmem::Stats::instance().snapshot() - t0;
   EXPECT_GT(d.index_hops, 0u);
   EXPECT_EQ(d.dram_node_visits, 0u);
+}
+
+
+/// seek_many must return, for every batch size around its lane width, the
+/// handles per-key seek returns and the same hop total, so traversal
+/// counters stay comparable between the two.
+TEST(DramIndex, SeekManyMatchesSeek) {
+  core::DramIndex idx(/*max_height=*/12);
+  // Fake handles: seek never dereferences a data pointer.
+  auto ptr_of = [](std::uint64_t key) {
+    return reinterpret_cast<char*>(static_cast<std::uintptr_t>(key) << 6);
+  };
+  {
+    // An empty index answers every key with the head (a null handle).
+    const std::uint64_t keys[] = {1, 50, ~0ULL - 1};
+    riv::DataHandle out[3];
+    std::uint64_t hops = 0;
+    idx.seek_many(keys, 3, out, &hops);
+    for (const riv::DataHandle& h : out) EXPECT_TRUE(h.is_null());
+    EXPECT_EQ(hops, 0u);
+  }
+  Xoshiro256 rng(17);
+  constexpr std::uint64_t kEntries = 3000;
+  for (std::uint64_t i = 1; i <= kEntries; ++i) {
+    const std::uint64_t key = i * 10;
+    std::uint32_t height = 2;
+    while (height < 12 && rng.next_below(2) == 0) ++height;
+    idx.insert(key, key + 7, ptr_of(key), height);
+  }
+  // Below the first key, exact hits, between entries, past the last.
+  std::vector<std::uint64_t> keys;
+  for (int i = 0; i < 200; ++i) {
+    const std::uint64_t slot = 1 + rng.next_below(kEntries);
+    switch (i % 4) {
+      case 0: keys.push_back(1 + rng.next_below(9)); break;
+      case 1: keys.push_back(slot * 10); break;
+      case 2: keys.push_back(slot * 10 + 1 + rng.next_below(9)); break;
+      default: keys.push_back(kEntries * 10 + 1 + rng.next_below(1000));
+    }
+  }
+  for (const std::size_t n : {1, 2, 15, 16, 17, 64}) {
+    for (std::size_t base = 0; base + n <= keys.size(); base += n) {
+      std::vector<riv::DataHandle> got(n);
+      std::uint64_t many_hops = 0;
+      idx.seek_many(keys.data() + base, n, got.data(), &many_hops);
+      std::uint64_t one_hops = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const riv::DataHandle want = idx.seek(keys[base + i], &one_hops);
+        ASSERT_EQ(got[i].riv, want.riv) << "key " << keys[base + i];
+        ASSERT_EQ(got[i].ptr, want.ptr) << "key " << keys[base + i];
+      }
+      ASSERT_EQ(many_hops, one_hops) << "batch of " << n << " at " << base;
+    }
+  }
 }
 
 }  // namespace

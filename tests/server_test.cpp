@@ -12,9 +12,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
+#include <numeric>
+#include <optional>
 #include <thread>
 
 #include "server/client.hpp"
@@ -1573,6 +1576,138 @@ TEST(ShardedServer, FailedShardedFlushStrandsNoShardAndResolves) {
   ASSERT_EQ(resp.size(), kN);
   for (std::uint64_t k = 1; k <= kN; ++k)
     EXPECT_EQ(c.get(k), std::optional<std::uint64_t>(k * 10));
+}
+
+
+// ---- GET runs, reserved operands, connection placement -------------------
+
+/// The status of each response, and its u64 payload when it carries one.
+std::vector<std::pair<Status, std::optional<std::uint64_t>>> outcomes(
+    const std::vector<Response>& resp) {
+  std::vector<std::pair<Status, std::optional<std::uint64_t>>> out;
+  for (const Response& r : resp) {
+    std::uint64_t v = 0;
+    out.emplace_back(r.status,
+                     r.value_u64(&v) ? std::optional<std::uint64_t>(v)
+                                     : std::nullopt);
+  }
+  return out;
+}
+
+TEST(ServerLoopback, PipelinedReadsStayInOrderAroundWrites) {
+  // GETs between writes form separate runs; each run executes after the
+  // writes before it and before the writes after it.
+  ServerFixture f;
+  Client c = f.connect();
+  constexpr std::uint64_t k = 77;
+  c.queue({Opcode::kPut, k, 1});
+  c.queue({Opcode::kGet, k});
+  c.queue({Opcode::kGet, k + 1});
+  c.queue({Opcode::kPut, k, 2});
+  c.queue({Opcode::kGet, k});
+  c.queue({Opcode::kRemove, k});
+  c.queue({Opcode::kGet, k});
+  std::vector<Response> resp;
+  c.flush(&resp);
+  using O = std::optional<std::uint64_t>;
+  const std::vector<std::pair<Status, O>> want = {
+      {Status::kCreated, std::nullopt}, {Status::kOk, O(1)},
+      {Status::kNotFound, std::nullopt}, {Status::kOk, O(1)},
+      {Status::kOk, O(2)},               {Status::kOk, O(2)},
+      {Status::kNotFound, std::nullopt}};
+  EXPECT_EQ(outcomes(resp), want);
+}
+
+TEST(ServerLoopback, ReservedKeysAnswerErrorAndServerSurvives) {
+  // Key 0 and ~0 are the store's sentinels and value ~0 its tombstone. Each
+  // op carrying one is answered kError on its own; the ops around it, the
+  // rest of its GET run included, are served as usual.
+  ServerFixture f;
+  Client c = f.connect();
+  ASSERT_TRUE(c.put(5, 50).created);
+  c.hello(31);
+  constexpr std::uint64_t kMax = ~0ULL;
+  c.queue({Opcode::kGet, 5});
+  c.queue({Opcode::kGet, 0});
+  c.queue({Opcode::kGet, 6});
+  c.queue({Opcode::kGet, kMax});
+  c.queue({Opcode::kGet, 5});
+  c.queue({Opcode::kPut, 0, 1});
+  c.queue({Opcode::kPut, kMax, 1});
+  c.queue({Opcode::kUpdate, 6, kMax});
+  c.queue({Opcode::kRemove, 0});
+  c.queue({Opcode::kRemove, kMax});
+  c.queue_dput(0, 1);
+  c.queue_dupdate(6, kMax);
+  c.queue_dremove(kMax);
+  c.queue({Opcode::kPut, 6, 60});
+  c.queue({Opcode::kGet, 6});
+  std::vector<Response> resp;
+  c.flush(&resp);
+  using O = std::optional<std::uint64_t>;
+  const auto err = std::make_pair(Status::kError, O());
+  const std::vector<std::pair<Status, O>> want = {
+      {Status::kOk, O(50)}, err, {Status::kNotFound, std::nullopt}, err,
+      {Status::kOk, O(50)}, err, err, err, err, err, err, err, err,
+      {Status::kCreated, std::nullopt}, {Status::kOk, O(60)}};
+  EXPECT_EQ(outcomes(resp), want);
+  EXPECT_TRUE(c.ping());
+  Client d = f.connect();
+  EXPECT_TRUE(d.ping());
+  EXPECT_EQ(d.get(5), std::optional<std::uint64_t>(50));
+}
+
+/// Live connections per worker, from STATS' "workers" array.
+std::vector<std::uint64_t> worker_connections(const std::string& stats) {
+  std::vector<std::uint64_t> out;
+  const std::string key = "\"connections\": ";
+  std::size_t pos = stats.find("\"workers\": [");
+  const std::size_t end = stats.find(']', pos);
+  while (pos != std::string::npos) {
+    pos = stats.find(key, pos);
+    if (pos == std::string::npos || pos > end) break;
+    pos += key.size();
+    out.push_back(std::stoull(stats.substr(pos)));
+  }
+  return out;
+}
+
+TEST(ServerLoopback, ConnectionsSpreadAcrossWorkers) {
+  ServerFixture f(4);
+  // A lone connection stays on the worker that accepted it.
+  Client first = f.connect();
+  ASSERT_TRUE(first.ping());
+  std::vector<std::uint64_t> load = worker_connections(first.stats_json());
+  ASSERT_EQ(load.size(), 4u);
+  EXPECT_EQ(std::count(load.begin(), load.end(), 1u), 1);
+  EXPECT_EQ(std::count(load.begin(), load.end(), 0u), 3);
+  EXPECT_EQ(f.srv->stats().connections_handed_off.load(), 0u);
+
+  // Each further connection lands on a worker that has none.
+  std::vector<Client> more;
+  for (int i = 0; i < 3; ++i) {
+    more.push_back(f.connect());
+    ASSERT_TRUE(more.back().ping());
+  }
+  load = worker_connections(first.stats_json());
+  EXPECT_EQ(load, std::vector<std::uint64_t>(4, 1u));
+
+  // Closed connections leave the counts; only the probe remains.
+  more.clear();
+  first.close();
+  Client probe = f.connect();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  do {
+    load = worker_connections(probe.stats_json());
+    if (std::accumulate(load.begin(), load.end(), std::uint64_t{0}) == 1)
+      break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  } while (std::chrono::steady_clock::now() < deadline);
+  EXPECT_EQ(std::accumulate(load.begin(), load.end(), std::uint64_t{0}), 1u);
+  EXPECT_EQ(f.srv->stats().connections_accepted.load() -
+                f.srv->stats().connections_closed.load(),
+            1u);
 }
 
 }  // namespace

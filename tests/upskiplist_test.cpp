@@ -3,8 +3,13 @@
 // smoke tests. Crash-recovery behaviour has its own suite (crash_test.cpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <map>
+#include <optional>
 #include <thread>
+#include <vector>
 
 #include "test_util.hpp"
 
@@ -582,6 +587,84 @@ TEST(UPSkipList, RecoveryClaimDrainsOnlyWhileNoReaderCanLock) {
   EXPECT_EQ(node.lock_word(), 1u) << "a live reader's count was wiped";
   node.read_unlock();
   EXPECT_FALSE(node.write_locked());
+}
+
+
+/// search_many answers exactly what per-key search answers: hits, misses
+/// below, between and past the stored keys, and tombstoned keys, for every
+/// batch size around the index's lane width. Both search-layer modes: the
+/// DRAM index seeks the batch interleaved, towers mode searches key by key.
+TEST(UPSkipList, SearchManyMatchesSearch) {
+  for (const bool dram_index : {true, false}) {
+    SCOPED_TRACE(dram_index ? "dram index" : "persistent towers");
+    test::ScopedEnv pin("UPSL_DISABLE_DRAM_INDEX", dram_index ? "0" : "1");
+    core::Options o = small_options(4, 12, 8);
+    o.dram_index = dram_index;
+    StoreHarness h(o);
+    ASSERT_EQ(h.store().dram_index_enabled(), dram_index);
+    for (std::uint64_t k = 10; k <= 1200; k += 2) h.store().insert(k, k * 3);
+    for (std::uint64_t k = 12; k <= 1200; k += 12) h.store().remove(k);
+
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t k = 1; k <= 1300; k += 7) keys.push_back(k);
+    for (std::uint64_t k = 12; k <= 1200; k += 60) keys.push_back(k);
+    std::vector<std::optional<std::uint64_t>> want;
+    for (const std::uint64_t k : keys) want.push_back(h.store().search(k));
+
+    for (const std::size_t batch : {1, 2, 15, 16, 17, 64, 1000}) {
+      std::vector<std::optional<std::uint64_t>> got(keys.size());
+      for (std::size_t base = 0; base < keys.size(); base += batch) {
+        const std::size_t n = std::min(batch, keys.size() - base);
+        h.store().search_many(keys.data() + base, n, got.data() + base);
+      }
+      for (std::size_t i = 0; i < keys.size(); ++i)
+        ASSERT_EQ(got[i], want[i]) << "key " << keys[i] << " batch " << batch;
+    }
+    const std::uint64_t reserved[] = {5, 0};
+    std::optional<std::uint64_t> out[2];
+    EXPECT_THROW(h.store().search_many(reserved, 2, out),
+                 std::invalid_argument);
+  }
+}
+
+/// Hints from a batch's index seek are used after other keys' level-0
+/// walks, so splits land between a key's seek and its walk. Every preloaded
+/// key must still be found with its value while an inserter splits the
+/// nodes under the readers.
+TEST(UPSkipList, SearchManyUnderConcurrentSplits) {
+  StoreHarness h(small_options(4, 12, 8));
+  constexpr std::uint64_t kMax = 8000;
+  for (std::uint64_t k = 4; k <= kMax; k += 4) h.store().insert(k, k + 1);
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> batches{0};
+  std::vector<std::thread> readers;
+  for (int t = 1; t <= 2; ++t) {
+    readers.emplace_back([&, t] {
+      ThreadRegistry::instance().bind(t);
+      Xoshiro256 rng(static_cast<std::uint64_t>(t));
+      std::uint64_t keys[40];
+      std::optional<std::uint64_t> got[40];
+      while (!stop.load()) {
+        for (std::uint64_t& k : keys) k = 4 * (1 + rng.next_below(kMax / 4));
+        h.store().search_many(keys, 40, got);
+        for (int i = 0; i < 40; ++i)
+          ASSERT_EQ(got[i], std::optional<std::uint64_t>(keys[i] + 1))
+              << "key " << keys[i];
+        batches.fetch_add(1);
+      }
+    });
+  }
+  // Keys between the preloaded ones fill every node and force splits.
+  ThreadRegistry::instance().bind(0);
+  for (int i = 0; i < 2000 && batches.load() == 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (std::uint64_t k = 1; k <= kMax; ++k)
+    if (k % 4 != 0) h.store().insert(k, k + 1);
+  stop.store(true);
+  for (auto& r : readers) r.join();
+  ThreadRegistry::instance().bind(0);
+  EXPECT_EQ(h.store().count_keys(), kMax);
+  h.store().check_invariants();
 }
 
 }  // namespace
