@@ -1,8 +1,8 @@
 // Detectability tax A/B: what do exactly-once mutations cost on the wire
 // path (BENCH_detect.json)?
 //
-// Two self-hosted legs over identical mixed-write load, both on the PR 6
-// fast path (MOD writes + cross-connection group commit):
+// Two self-hosted legs over identical mixed-write load, both on the server's
+// one ack path (MOD writes + one ack fence per executed batch):
 //
 //   baseline — plain PUT mutations: durable data, but a replayed request
 //              after a dropped connection applies twice.
@@ -12,14 +12,13 @@
 //              return the original answer.
 //
 // The detect leg adds two ack lines per mutation (result-ring entry +
-// last_seq word) to a batch that already fences once per commit window, so
-// the marginal fence cost must be noise. Acceptance gate (at >= 20000 ops):
-// detect fences/mutation within 10% of the plain group-commit baseline.
+// last_seq word) to a batch that already fences once, so the marginal fence
+// cost must be noise. Acceptance gate (at >= 20000 ops): detect
+// fences/mutation within 10% of the plain per-batch-fence baseline.
 //
 // Knobs: UPSL_BENCH_RECORDS (default 20000), UPSL_BENCH_OPS (default 40000),
 // UPSL_SERVER_CLIENTS (default 16), UPSL_SERVER_DEPTH (default 8, also the
-// per-session un-acked cap — must stay <= the result ring depth),
-// UPSL_COMMIT_WINDOW_US (committer window, default 50).
+// per-session un-acked cap — must stay <= the result ring depth).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -35,7 +34,6 @@
 #include "detect/session_table.hpp"
 #include "pmem/ack_batch.hpp"
 #include "server/client.hpp"
-#include "server/group_commit.hpp"
 #include "server/server.hpp"
 #include "ycsb/workload.hpp"
 
@@ -159,7 +157,7 @@ struct LegResult {
   bool started = true;
 };
 
-/// One self-hosted leg on the group-commit fast path; `detectable` selects
+/// One self-hosted leg on the per-batch-fence ack path; `detectable` selects
 /// the mutation opcode the clients issue.
 LegResult run_leg(bool detectable, std::uint64_t records, std::uint64_t ops,
                   unsigned clients, std::uint32_t depth) {
@@ -168,7 +166,6 @@ LegResult run_leg(bool detectable, std::uint64_t records, std::uint64_t ops,
   server::ServerOptions sopts;
   sopts.port = 0;
   sopts.workers = 4;
-  sopts.group_commit = true;
   server::Server srv(adapter.store(), sopts);
   if (!srv.start()) {
     std::fprintf(stderr, "cannot start in-process server\n");
@@ -213,7 +210,7 @@ void print_leg(const char* name, const LegResult& leg) {
 
 void add_entry(JsonBenchWriter& out, const char* name, const LegResult& leg,
                unsigned clients, std::uint32_t depth, std::uint64_t records,
-               std::uint32_t window_us, JsonBenchWriter::Config extra) {
+               JsonBenchWriter::Config extra) {
   char buf[32];
   JsonBenchWriter::Config cfg;
   std::snprintf(buf, sizeof buf, "%.4f", leg.fences_per_mutation);
@@ -223,7 +220,6 @@ void add_entry(JsonBenchWriter& out, const char* name, const LegResult& leg,
   cfg.emplace_back("clients", std::to_string(clients));
   cfg.emplace_back("depth", std::to_string(depth));
   cfg.emplace_back("records", std::to_string(records));
-  cfg.emplace_back("window_us", std::to_string(window_us));
   cfg.emplace_back("workload", kMixedWrite.name);
   for (auto& kv : extra) cfg.push_back(std::move(kv));
   bench::append_build_config(cfg);
@@ -246,7 +242,6 @@ int main() {
   // A batch deeper than the result ring would age its own head out of the
   // dedup window before the ack; cap instead of measuring a broken config.
   depth = std::min<std::uint32_t>(depth, detect::SessionTable::kRingSize);
-  const std::uint32_t window_us = server::commit_window_us_from_env(50);
 
   // Both legs need the session table; the kill switch would silently turn
   // the detect leg into the baseline and the A/B would measure nothing.
@@ -255,9 +250,9 @@ int main() {
   ThreadRegistry::instance().bind(0);
   bench::print_header("detectability tax: fences per mutation A/B",
                       "durable sessions + request dedup on the wire path");
-  std::printf("  records=%llu ops=%llu clients=%u depth=%u window=%uus\n",
+  std::printf("  records=%llu ops=%llu clients=%u depth=%u\n",
               static_cast<unsigned long long>(records),
-              static_cast<unsigned long long>(ops), clients, depth, window_us);
+              static_cast<unsigned long long>(ops), clients, depth);
 
   const LegResult base =
       run_leg(/*detectable=*/false, records, ops, clients, depth);
@@ -275,11 +270,11 @@ int main() {
   std::printf("  detect fence tax: %.3fx baseline\n", tax);
 
   JsonBenchWriter out("detect");
-  add_entry(out, "baseline", base, clients, depth, records, window_us,
+  add_entry(out, "baseline", base, clients, depth, records,
             {{"detect", "off"}});
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.3f", tax);
-  add_entry(out, "detect", det, clients, depth, records, window_us,
+  add_entry(out, "detect", det, clients, depth, records,
             {{"detect", "on"}, {"fence_tax_x", buf}});
   out.write();
 
@@ -289,7 +284,7 @@ int main() {
     if (tax > 1.10) {
       std::fprintf(stderr,
                    "FAIL: detect fences/mutation %.4f is %.3fx the plain "
-                   "group-commit baseline %.4f (allowed 1.10x)\n",
+                   "per-batch-fence baseline %.4f (allowed 1.10x)\n",
                    det.fences_per_mutation, tax, base.fences_per_mutation);
       all_ok = false;
     }

@@ -14,6 +14,12 @@
 // exchange owns the connection until its final chunk) and is timed as its
 // own round trip, first byte to last chunk.
 //
+// Every response is checked, as bench_e2e's load generator does: a GET of a
+// preloaded key must answer kOk and every PUT kOk or kCreated; any other
+// status counts the op as failed. A transport error or a failed scan counts
+// the client's in-flight pipeline as failed and ends that client. The bench
+// exits non-zero when any op failed.
+//
 // Target selection:
 //   UPSL_SERVER_ADDR=host:port  drive an already-running server (CI smoke);
 //   otherwise the bench self-hosts: it spins up an in-process Server over an
@@ -63,16 +69,31 @@ bool connect_with_retry(server::Client& c, const Target& t, int attempts = 100) 
   return false;
 }
 
-/// Pipelined preload of the YCSB record set through the wire.
+bool put_acked(const server::Response& r) {
+  return r.status == server::Status::kOk ||
+         r.status == server::Status::kCreated;
+}
+
+/// Pipelined preload of the YCSB record set through the wire. False if the
+/// server could not be reached or refused any PUT.
 bool preload(const Target& t, std::uint64_t records) {
   server::Client c;
   if (!connect_with_retry(c, t)) return false;
   constexpr std::uint32_t kDepth = 128;
   std::vector<server::Response> resp;
   std::uint64_t v = 1;
-  for (std::uint64_t i = 0; i < records; ++i) {
-    c.queue({server::Opcode::kPut, ycsb::key_of(i), v++});
-    if (c.queued() == kDepth || i + 1 == records) c.flush(&resp);
+  try {
+    for (std::uint64_t i = 0; i < records; ++i) {
+      c.queue({server::Opcode::kPut, ycsb::key_of(i), v++});
+      if (c.queued() == kDepth || i + 1 == records) {
+        c.flush(&resp);
+        for (const server::Response& r : resp)
+          if (!put_acked(r)) return false;
+      }
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "preload: %s\n", e.what());
+    return false;
   }
   return true;
 }
@@ -80,6 +101,7 @@ bool preload(const Target& t, std::uint64_t records) {
 struct WorkloadResult {
   double seconds = 0;
   std::uint64_t ops = 0;
+  std::uint64_t failed = 0;  // ops with a wrong status or no answer
   std::uint64_t scan_entries = 0;
   bench::LatencyRecorder latency;
   bool ok = true;
@@ -103,21 +125,40 @@ WorkloadResult run_workload(const Target& t, const ycsb::WorkloadSpec& spec,
       ycsb::OpGenerator gen(spec, records, /*seed=*/1000 + i, i, clients);
       std::uint64_t remaining = total_ops / clients;
       std::vector<server::Response> resp;
-      std::uint32_t queued = 0;
+      // Whether each queued op is a GET (else a PUT), in pipeline order.
+      std::vector<bool> is_get;
+      // A GET reads a preloaded key, so it must find it.
+      const auto check = [&](std::size_t k) {
+        const server::Response& x = resp[k];
+        if (is_get[k] ? x.status != server::Status::kOk : !put_acked(x))
+          ++r.failed;
+      };
       // Batch round-trip time attributed to every op that rode in the batch.
       const auto flush_queued = [&] {
-        if (queued == 0) return;
+        if (is_get.empty()) return;
         const auto s = std::chrono::steady_clock::now();
-        c.flush(&resp);
+        try {
+          c.flush(&resp);
+        } catch (const server::PipelineError& e) {
+          for (std::size_t k = 0; k < e.acked; ++k) check(k);
+          r.failed += e.unresolved;
+          is_get.clear();
+          throw;
+        }
         const auto ns = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - s)
                 .count());
-        for (std::uint32_t b = 0; b < queued; ++b) r.latency.record_ns(ns);
-        r.ops += queued;
-        remaining -= queued;
-        queued = 0;
+        const auto n = static_cast<std::uint32_t>(is_get.size());
+        for (std::uint32_t b = 0; b < n; ++b) {
+          r.latency.record_ns(ns);
+          check(b);
+        }
+        r.ops += n;
+        remaining -= n;
+        is_get.clear();
       };
+      bool scanning = false;
       try {
         while (remaining > 0) {
           const std::uint32_t batch =
@@ -128,6 +169,7 @@ WorkloadResult run_workload(const Target& t, const ycsb::WorkloadSpec& spec,
             if (op.type == ycsb::OpType::kScan) {
               flush_queued();  // scan_stream needs an empty pipeline
               const auto s = std::chrono::steady_clock::now();
+              scanning = true;
               r.scan_entries += c.scan_stream(
                   op.key, ~0ULL,
                   [](const std::vector<std::pair<std::uint64_t,
@@ -135,6 +177,7 @@ WorkloadResult run_workload(const Target& t, const ycsb::WorkloadSpec& spec,
                     return true;
                   },
                   op.scan_len);
+              scanning = false;
               const auto ns = static_cast<std::uint64_t>(
                   std::chrono::duration_cast<std::chrono::nanoseconds>(
                       std::chrono::steady_clock::now() - s)
@@ -144,15 +187,19 @@ WorkloadResult run_workload(const Target& t, const ycsb::WorkloadSpec& spec,
               remaining -= 1;
             } else if (op.type == ycsb::OpType::kRead) {
               c.queue({server::Opcode::kGet, op.key});
-              ++queued;
+              is_get.push_back(true);
             } else {
               c.queue({server::Opcode::kPut, op.key, op.value});
-              ++queued;
+              is_get.push_back(false);
             }
           }
           flush_queued();
         }
       } catch (const std::exception& e) {
+        // Whatever was in flight never got a (good) answer: a scan, or a
+        // pipeline that failed before flush (a PipelineError already
+        // counted its own split and cleared the pipeline).
+        r.failed += is_get.size() + (scanning ? 1 : 0);
         std::fprintf(stderr, "client %u: %s\n", i, e.what());
         r.ok = false;
       }
@@ -166,6 +213,7 @@ WorkloadResult run_workload(const Target& t, const ycsb::WorkloadSpec& spec,
                       .count();
   for (const WorkloadResult& r : per_thread) {
     total.ops += r.ops;
+    total.failed += r.failed;
     total.scan_entries += r.scan_entries;
     total.latency.merge(r.latency);
     total.ok = total.ok && r.ok;
@@ -222,8 +270,8 @@ int main() {
   bench::print_header("upsl-serve closed-loop load",
                       "serving PR: batched pipelines over epoll");
   if (!preload(target, records)) {
-    std::fprintf(stderr, "cannot connect to %s:%u\n", target.host.c_str(),
-                 target.port);
+    std::fprintf(stderr, "preload through %s:%u failed\n",
+                 target.host.c_str(), target.port);
     return 1;
   }
   std::printf("  preloaded %llu records (clients=%u depth=%u)\n",
@@ -237,15 +285,17 @@ int main() {
     delta.begin();
     const WorkloadResult r =
         run_workload(target, spec, records, ops, clients, depth);
-    all_ok = all_ok && r.ok;
+    all_ok = all_ok && r.ok && r.failed == 0;
     const double ops_s =
         r.seconds > 0 ? static_cast<double>(r.ops) / r.seconds : 0;
     std::printf(
-        "  %-16s %8.0f ops/s   p50 %7llu ns  p99 %7llu ns  p999 %7llu ns\n",
+        "  %-16s %8.0f ops/s   p50 %7llu ns  p99 %7llu ns  p999 %7llu ns  "
+        "failed %llu\n",
         spec.name, ops_s,
         static_cast<unsigned long long>(r.latency.p50_ns()),
         static_cast<unsigned long long>(r.latency.p99_ns()),
-        static_cast<unsigned long long>(r.latency.p999_ns()));
+        static_cast<unsigned long long>(r.latency.p999_ns()),
+        static_cast<unsigned long long>(r.failed));
     if (r.scan_entries > 0)
       std::printf("  %-16s %8.0f scanned entries/s\n", "",
                   r.seconds > 0
@@ -258,6 +308,7 @@ int main() {
     cfg.emplace_back("clients", std::to_string(clients));
     cfg.emplace_back("depth", std::to_string(depth));
     cfg.emplace_back("records", std::to_string(records));
+    cfg.emplace_back("failed", std::to_string(r.failed));
     cfg.emplace_back("mode", target.self_hosted ? "self-hosted" : "external");
     if (r.scan_entries > 0)
       cfg.emplace_back("scan_entries", std::to_string(r.scan_entries));

@@ -4,7 +4,7 @@
 // N topology-aware clients (server::ShardedClient) drive a mixed YCSB-B
 // workload with per-shard pipelining, so each request goes straight to the
 // shard that owns its key and the legs differ only in how many independent
-// stores/worker-groups/committers the key space is spread across.
+// stores/worker-groups the key space is spread across.
 //
 // The headline metric is the throughput ratio of the 4-shard leg over the
 // 1-shard leg. Acceptance gate (sharding PR): >= 2.5x at 16+ clients. The

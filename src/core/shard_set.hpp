@@ -3,7 +3,7 @@
 // Horizontal sharding (ROADMAP item 1): the key space is partitioned by the
 // fixed hash in common/shardmap.hpp across `shard_count` fully independent
 // stores — each with its own pool set, chunk/block allocators, DRAM-index
-// rebuild, and (in the server) its own worker group and group committer.
+// rebuild, and (in the server) its own worker group.
 // Nothing is shared between shards but the process: no cross-shard locks,
 // no shared allocator state, no shared epoch. That is what makes sharding
 // the NUMA-scaling lever — each shard's pools and workers can live on one

@@ -514,23 +514,20 @@ std::uint64_t UPSkipList::make_node(std::uint64_t pred_riv, std::uint64_t key,
 }
 
 bool UPSkipList::publish_data_link(NodeView pred, std::uint64_t expected,
-                                   std::uint64_t node_riv, bool defer_link) {
+                                   std::uint64_t node_riv) {
   // The single ordered step of a MOD insert: one SFENCE retires every
   // unordered writeback of the out-of-place node, then the data-level link
   // CAS makes it reachable. The fence-before-CAS order guarantees the link
   // can never be durable ahead of the node contents it exposes. The link
-  // flush itself only gates the *ack* (a lost link just un-inserts an
-  // unacknowledged key), so it may ride the ack batch — except in
-  // persistent-towers mode for multi-level nodes, where level 0 must be
-  // durable before level 1 links (the tower-prefix invariant recovery
-  // depends on), so the link persists eagerly there.
+  // persists at once rather than riding the ack batch: the moment the CAS
+  // lands, other threads can insert into the new node and ack those keys
+  // after their own batch fences, and a crash that lost the link would
+  // take their acked keys with it. (In persistent-towers mode level 0 must
+  // also be durable before level 1 links — the tower-prefix invariant.)
   pmem::fence();
   UPSL_CRASH_POINT("core.mod_prepublish");
   if (!pm_cas_value(pred.next(0), expected, node_riv)) return false;
-  if (defer_link)
-    pmem::ack_persist(&pred.next(0), sizeof(std::uint64_t));
-  else
-    persist(&pred.next(0), sizeof(std::uint64_t));
+  persist(&pred.next(0), sizeof(std::uint64_t));
   UPSL_CRASH_POINT("core.mod_published");
   return true;
 }
@@ -1078,6 +1075,10 @@ std::optional<std::uint64_t> UPSkipList::update_value(NodeView node,
                                                       std::int32_t idx,
                                                       std::uint64_t value) {
   // Function 14: CAS until success; total order over updates of this key.
+  // Callers updating a key they did not claim themselves ack-persist its
+  // key line first: the insert that claimed the slot may still hold that
+  // line in its own unflushed ack batch, and a crash that lost the claim
+  // would scrub the slot (scrub_torn_slots) and this acked value with it.
   auto& word = node.value(static_cast<std::uint32_t>(idx));
   SpinGuard guard("update_value");
   while (true) {
@@ -1115,6 +1116,8 @@ std::optional<std::uint64_t> UPSkipList::insert(std::uint64_t key,
         pred.read_unlock();
         continue;
       }
+      pmem::ack_persist(&pred.key(static_cast<std::uint32_t>(res.key_index)),
+                        sizeof(std::uint64_t));
       auto old = update_value(pred, res.key_index, value);
       pred.read_unlock();
       return old;
@@ -1151,8 +1154,7 @@ bool UPSkipList::create_head_successor(std::uint64_t key, std::uint64_t value,
   UPSL_CRASH_POINT("core.head_succ_made");
   NodeView head = view(head_riv_);
   if (pmem::mod_writes_enabled()) {
-    const bool defer_link = index_ != nullptr || height == 1;
-    if (!publish_data_link(head, succ, node_riv, defer_link)) {
+    if (!publish_data_link(head, succ, node_riv)) {
       block_alloc_->deallocate(node_riv);
       return false;
     }
@@ -1202,6 +1204,7 @@ UPSkipList::InsertStatus UPSkipList::insert_into_existing(
       k = pm_load(pred.key(i));  // lost the slot race; did they insert `key`?
     }
     if (k == key) {
+      pmem::ack_persist(&pred.key(i), sizeof(std::uint64_t));
       *old_out = update_value(pred, static_cast<std::int32_t>(i), value);
       pred.read_unlock();
       return InsertStatus::kDone;
@@ -1253,8 +1256,7 @@ UPSkipList::InsertStatus UPSkipList::split_node(
     const std::uint64_t new_riv =
         make_node(preds[0], key, value, height, node_succs);
     if (pmem::mod_writes_enabled()) {
-      const bool defer_link = index_ != nullptr || height == 1;
-      if (!publish_data_link(pred, node_succs[0], new_riv, defer_link)) {
+      if (!publish_data_link(pred, node_succs[0], new_riv)) {
         block_alloc_->deallocate(new_riv);
         pred.write_unlock();
         persist(&pred.lock_word(), sizeof(std::uint64_t));
@@ -1466,7 +1468,7 @@ UPSkipList::DetectOutcome UPSkipList::insert_detect(std::uint64_t key,
   out.previous = insert(key, value);
   if (plain) return out;
   // The record's lines join the ambient AckBatch: slot and mutation become
-  // durable under the same ack fence / group-commit ticket.
+  // durable under the same batch ack fence.
   sessions_.record(static_cast<std::uint32_t>(slot), seq,
                    out.previous.has_value() ? 1 : 0,
                    out.previous.value_or(0));

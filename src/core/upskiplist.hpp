@@ -179,8 +179,8 @@ class UPSkipList {
 
   /// Detectable upsert: dedups (slot, seq) against the session table, runs
   /// insert() when new, and records the durable result through the ambient
-  /// pmem::AckBatch — the slot update rides the same ack fence/group-commit
-  /// ticket as the mutation itself. With an invalid slot or the
+  /// pmem::AckBatch — the slot update rides the same batch ack fence as the
+  /// mutation itself. With an invalid slot or the
   /// UPSL_DISABLE_DETECT kill switch set, degrades to plain insert().
   DetectOutcome insert_detect(std::uint64_t key, std::uint64_t value,
                               std::int32_t slot, std::uint64_t seq);
@@ -377,12 +377,10 @@ class UPSkipList {
   std::optional<std::uint64_t> update_value(NodeView node, std::int32_t idx,
                                             std::uint64_t value);
   /// MOD publish step: one SFENCE retiring the out-of-place node's unordered
-  /// writebacks, then the data-level link CAS. Returns false if the CAS
-  /// lost. With defer_link the link flush rides the ack batch; without it
-  /// (persistent towers, height > 1) the link persists eagerly to keep the
-  /// level-prefix durability invariant.
+  /// writebacks, then the data-level link CAS and its persist. Returns false
+  /// if the CAS lost.
   bool publish_data_link(NodeView pred, std::uint64_t expected,
-                         std::uint64_t node_riv, bool defer_link);
+                         std::uint64_t node_riv);
   bool create_head_successor(std::uint64_t key, std::uint64_t value,
                              std::uint64_t* preds, std::uint64_t* succs);
   InsertStatus insert_into_existing(std::uint64_t key, std::uint64_t value,

@@ -22,10 +22,10 @@
 //
 // Durability contract (docs/detectability.md): record() routes its lines
 // through pmem::ack_persist, so inside a server batch the slot update rides
-// the exact fence / group-commit ticket that acks the mutation — exactly-once
-// costs no extra fences on the hot path. In kDiscardUnflushed crash mode a
-// group-commit ticket's lines commit atomically (GroupCommit::commit_batch
-// has no interior crash points), so the slot and the mutation's effect are
+// the exact batch fence that acks the mutation — exactly-once costs no extra
+// fences on the hot path. In kDiscardUnflushed crash mode a batch's deferred
+// lines commit atomically (AckBatch::commit_fenced flushes and fences with
+// no interior crash points), so the slot and the mutation's effect are
 // always in agreement and resolve() answers are ground truth for the tested
 // configuration.
 //
@@ -147,7 +147,7 @@ class SessionTable {
 
   /// Persist (seq, status, result) into the slot's ring and advance
   /// last_seq. Lines go through pmem::ack_persist: inside an AckBatch scope
-  /// they ride the batch/group-commit ack fence; standalone they persist
+  /// they ride the batch's ack fence; standalone they persist
   /// immediately. Call only with seq > last_seq(slot) and seq >= 1 (0 is
   /// the reserved empty sentinel — a no-op here), from the single thread
   /// owning the session.

@@ -6,15 +6,15 @@
 // *ack* rule: the link/slot/value lines an operation dirtied must be durable
 // before the operation is acknowledged to a client. Those lines need no
 // ordering among themselves, so they can ride one deferred flush + fence per
-// *batch* of operations — or, with the server's group commit, one fence per
-// group commit across all connections.
+// *batch* of operations.
 //
 // AckBatch is that deferral scope. While a thread has an AckBatch open,
 // ack_persist() records the covered lines instead of flushing; the scope
-// owner later either commit_fenced()s them (one flush set + one fence) or
-// take_lines()s them to hand to a GroupCommit ticket. Without an open scope
-// ack_persist() is exactly persist(), so the embedded API keeps per-op
-// durability-at-return semantics.
+// owner later commit_fenced()s them (one flush set + one fence) and only
+// then acknowledges the batch — the server does this once per executed
+// pipelined batch, so a mutation's response leaves only after its batch's
+// commit_fenced(). Without an open scope ack_persist() is exactly persist(),
+// so the embedded API keeps per-op durability-at-return semantics.
 //
 // UPSL_DISABLE_MOD_WRITES=1 restores the legacy ordered write path: the core
 // persists in place at every legacy site and ack_persist() degrades to
@@ -68,7 +68,7 @@ class AckBatch {
  public:
   /// Plenty for a server batch (`max_batch` ops x a handful of lines each);
   /// overflow degrades to an immediate unfenced flush, still covered by the
-  /// eventual batch/group fence.
+  /// eventual batch fence.
   static constexpr std::size_t kMaxLines = 256;
 
   AckBatch() : prev_(tls()) { tls() = this; }
@@ -78,9 +78,9 @@ class AckBatch {
   ~AckBatch() {
     tls() = prev_;
     // Safety net: an abandoned scope still owes its callers durability —
-    // unless the lines were handed to a group-commit ticket, or we are
-    // unwinding a simulated crash (in which case dropping the un-fenced
-    // lines is exactly the power-failure semantics under test).
+    // unless the lines were taken by the caller, or we are unwinding a
+    // simulated crash (in which case dropping the un-fenced lines is exactly
+    // the power-failure semantics under test).
     if (!taken_ && adds_ > 0 && std::uncaught_exceptions() == 0)
       commit_fenced();
   }
@@ -117,9 +117,9 @@ class AckBatch {
   std::size_t adds() const { return adds_; }
   std::size_t lines() const { return n_; }
 
-  /// Hand the recorded lines off (to a GroupCommit ticket); the scope is
-  /// done — its destructor will not flush. Dedupe savings are credited here
-  /// since the lines skip the FlushSet path.
+  /// Hand the recorded lines to a caller that flushes and fences them
+  /// itself; the scope is done — its destructor will not flush. Dedupe
+  /// savings are credited here since the lines skip the FlushSet path.
   std::vector<const void*> take_lines() {
     taken_ = true;
     credit_savings();

@@ -27,10 +27,6 @@ namespace upsl::pmem {
 /// snapshot-delta idiom composes across nested/concurrent phases where
 /// Stats::reset() silently corrupts any other observer.
 struct StatsSnapshot {
-  /// Histogram bucket upper bounds for group-commit batch sizes (mutations
-  /// covered by one fence): <=1, <=2, <=4, <=8, <=16, >16.
-  static constexpr std::size_t kGroupCommitBuckets = 6;
-
   std::uint64_t persist_calls = 0;
   std::uint64_t persisted_lines = 0;
   std::uint64_t fences = 0;
@@ -41,11 +37,10 @@ struct StatsSnapshot {
   std::uint64_t dram_node_visits = 0;
   std::uint64_t index_rebuilds = 0;
   std::uint64_t index_rebuild_ns = 0;
+  /// Always 0: fences of the retired cross-connection group commit. Every
+  /// ack fence is now a server batch fence (ServerStats::batch_fences); the
+  /// field stays for readers that add it in.
   std::uint64_t group_commits = 0;
-  std::uint64_t group_commit_mutations = 0;
-  std::uint64_t group_commit_hist[kGroupCommitBuckets] = {};
-  std::uint64_t group_commits_early = 0;
-  std::uint64_t group_commits_window_expired = 0;
   std::uint64_t checksum_failures = 0;
   std::uint64_t quarantined_nodes = 0;
   std::uint64_t quarantined_blocks = 0;
@@ -65,14 +60,7 @@ struct StatsSnapshot {
                     pmem_node_visits - t0.pmem_node_visits,
                     dram_node_visits - t0.dram_node_visits,
                     index_rebuilds - t0.index_rebuilds,
-                    index_rebuild_ns - t0.index_rebuild_ns,
-                    group_commits - t0.group_commits,
-                    group_commit_mutations - t0.group_commit_mutations};
-    for (std::size_t i = 0; i < kGroupCommitBuckets; ++i)
-      d.group_commit_hist[i] = group_commit_hist[i] - t0.group_commit_hist[i];
-    d.group_commits_early = group_commits_early - t0.group_commits_early;
-    d.group_commits_window_expired =
-        group_commits_window_expired - t0.group_commits_window_expired;
+                    index_rebuild_ns - t0.index_rebuild_ns};
     d.checksum_failures = checksum_failures - t0.checksum_failures;
     d.quarantined_nodes = quarantined_nodes - t0.quarantined_nodes;
     d.quarantined_blocks = quarantined_blocks - t0.quarantined_blocks;
@@ -84,25 +72,11 @@ struct StatsSnapshot {
     return d;
   }
 
-  /// Mean mutations amortized per group-commit fence (0 when unused).
-  double fences_per_mutation() const {
-    return group_commit_mutations == 0
-               ? 0.0
-               : static_cast<double>(group_commits) /
-                     static_cast<double>(group_commit_mutations);
-  }
-
   /// Flat JSON object, e.g. for the server's STATS command or log lines.
   std::string to_json() const {
     auto field = [](const char* k, std::uint64_t v) {
       return "\"" + std::string(k) + "\": " + std::to_string(v);
     };
-    std::string hist = "[";
-    for (std::size_t i = 0; i < kGroupCommitBuckets; ++i) {
-      if (i > 0) hist += ", ";
-      hist += std::to_string(group_commit_hist[i]);
-    }
-    hist += "]";
     return "{" + field("persist_calls", persist_calls) + ", " +
            field("persisted_lines", persisted_lines) + ", " +
            field("fences", fences) + ", " +
@@ -113,12 +87,6 @@ struct StatsSnapshot {
            field("dram_node_visits", dram_node_visits) + ", " +
            field("index_rebuilds", index_rebuilds) + ", " +
            field("index_rebuild_ns", index_rebuild_ns) + ", " +
-           field("group_commits", group_commits) + ", " +
-           field("group_commit_mutations", group_commit_mutations) + ", " +
-           "\"group_commit_batch_hist\": " + hist + ", " +
-           field("group_commits_early", group_commits_early) + ", " +
-           field("group_commits_window_expired",
-                 group_commits_window_expired) + ", " +
            field("checksum_failures", checksum_failures) + ", " +
            field("quarantined_nodes", quarantined_nodes) + ", " +
            field("quarantined_blocks", quarantined_blocks) + ", " +
@@ -156,17 +124,6 @@ struct Stats {
   /// wall-clock cost.
   std::atomic<std::uint64_t> index_rebuilds{0};
   std::atomic<std::uint64_t> index_rebuild_ns{0};
-  /// Group commit (docs/write-path.md): commits = fences the committer
-  /// issued, mutations = operations whose ack rode one of those fences, and
-  /// a batch-size histogram so "fences per mutation" is explainable (a fleet
-  /// of singleton commits amortizes nothing). Every commit is also either
-  /// early (no mutation batch was open, so it fenced before the window
-  /// ran out) or window-expired (batches were still open at the deadline).
-  std::atomic<std::uint64_t> group_commits{0};
-  std::atomic<std::uint64_t> group_commit_mutations{0};
-  std::atomic<std::uint64_t> group_commit_hist[StatsSnapshot::kGroupCommitBuckets]{};
-  std::atomic<std::uint64_t> group_commits_early{0};
-  std::atomic<std::uint64_t> group_commits_window_expired{0};
   /// Integrity layer (docs/integrity.md): CRC32C stamp mismatches observed
   /// on any durable surface, and the damage recovery routed into quarantine
   /// (lost node key-ranges, deliberately leaked allocator blocks, zeroed
@@ -188,21 +145,6 @@ struct Stats {
     return s;
   }
 
-  /// Record one group commit covering `mutations` acknowledged operations;
-  /// `early` = it fenced before its window expired.
-  void note_group_commit(std::uint64_t mutations, bool early) {
-    group_commits.fetch_add(1, std::memory_order_relaxed);
-    (early ? group_commits_early : group_commits_window_expired)
-        .fetch_add(1, std::memory_order_relaxed);
-    group_commit_mutations.fetch_add(mutations, std::memory_order_relaxed);
-    std::size_t b = 0;
-    for (std::uint64_t bound = 1;
-         b + 1 < StatsSnapshot::kGroupCommitBuckets && mutations > bound;
-         bound <<= 1)
-      ++b;
-    group_commit_hist[b].fetch_add(1, std::memory_order_relaxed);
-  }
-
   StatsSnapshot snapshot() const {
     StatsSnapshot s{persist_calls.load(std::memory_order_relaxed),
                     persisted_lines.load(std::memory_order_relaxed),
@@ -213,15 +155,7 @@ struct Stats {
                     pmem_node_visits.load(std::memory_order_relaxed),
                     dram_node_visits.load(std::memory_order_relaxed),
                     index_rebuilds.load(std::memory_order_relaxed),
-                    index_rebuild_ns.load(std::memory_order_relaxed),
-                    group_commits.load(std::memory_order_relaxed),
-                    group_commit_mutations.load(std::memory_order_relaxed)};
-    for (std::size_t i = 0; i < StatsSnapshot::kGroupCommitBuckets; ++i)
-      s.group_commit_hist[i] =
-          group_commit_hist[i].load(std::memory_order_relaxed);
-    s.group_commits_early = group_commits_early.load(std::memory_order_relaxed);
-    s.group_commits_window_expired =
-        group_commits_window_expired.load(std::memory_order_relaxed);
+                    index_rebuild_ns.load(std::memory_order_relaxed)};
     s.checksum_failures = checksum_failures.load(std::memory_order_relaxed);
     s.quarantined_nodes = quarantined_nodes.load(std::memory_order_relaxed);
     s.quarantined_blocks = quarantined_blocks.load(std::memory_order_relaxed);
@@ -246,11 +180,6 @@ struct Stats {
     dram_node_visits.store(0, std::memory_order_relaxed);
     index_rebuilds.store(0, std::memory_order_relaxed);
     index_rebuild_ns.store(0, std::memory_order_relaxed);
-    group_commits.store(0, std::memory_order_relaxed);
-    group_commit_mutations.store(0, std::memory_order_relaxed);
-    for (auto& h : group_commit_hist) h.store(0, std::memory_order_relaxed);
-    group_commits_early.store(0, std::memory_order_relaxed);
-    group_commits_window_expired.store(0, std::memory_order_relaxed);
     checksum_failures.store(0, std::memory_order_relaxed);
     quarantined_nodes.store(0, std::memory_order_relaxed);
     quarantined_blocks.store(0, std::memory_order_relaxed);

@@ -15,7 +15,6 @@
 
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <mutex>
 #include <unordered_map>
 
@@ -23,7 +22,6 @@
 #include "common/thread_registry.hpp"
 #include "pmem/ack_batch.hpp"
 #include "pmem/persist.hpp"
-#include "server/group_commit.hpp"
 #include "server/protocol.hpp"
 
 namespace upsl::server {
@@ -65,24 +63,18 @@ constexpr std::uint32_t kReservedGet = ~0u;
 
 /// One TCP connection, owned by exactly one worker. `in` accumulates raw
 /// bytes until complete frames can be parsed; `out` holds encoded responses
-/// not yet accepted by the kernel (out_off bytes already sent).
-///
-/// Group commit parks response bytes: only [out_off, sendable_end) may be
-/// handed to the kernel. A mutation batch whose fence has not retired yet
-/// registers (ticket, end-of-its-responses) in pending_acks; the committer's
-/// eventfd wakeup advances sendable_end as tickets commit, preserving FIFO
-/// response order per connection.
+/// not yet accepted by the kernel (out_off bytes already sent). Every byte
+/// in `out` outside the batch being executed is already acked durable: a
+/// batch flushes its responses only after its ack fence.
 ///
 /// A peer FIN only ends the input side: what arrived before it is executed
-/// and every response, parked ones included, is still delivered before the
-/// socket closes (close_after_flush).
+/// and every response is still delivered before the socket closes
+/// (close_after_flush).
 struct Server::Conn {
   int fd = -1;
   std::vector<std::uint8_t> in;
   std::vector<std::uint8_t> out;
   std::size_t out_off = 0;
-  std::size_t sendable_end = 0;  // bytes released for sending
-  std::deque<std::pair<std::uint64_t, std::size_t>> pending_acks;
   std::uint32_t events = EPOLLIN;  // epoll interest currently registered
   bool close_after_flush = false;  // peer sent FIN: close once out drains
   /// Detectable session (docs/detectability.md): the client identity the
@@ -93,14 +85,13 @@ struct Server::Conn {
   std::uint64_t client_id = 0;
   std::vector<std::int32_t> session_slots;
 
-  bool has_pending_out() const { return out_off < sendable_end; }
+  bool has_pending_out() const { return out_off < out.size(); }
 };
 
 struct Server::Worker {
-  unsigned shard = 0;  // which shard's listen socket / committer this serves
+  unsigned shard = 0;  // which shard's listen socket this serves
   int epoll_fd = -1;
-  /// The worker's one wake: poked after a connection lands in its inbox and,
-  /// with group commit, by the shard's committer after each fence.
+  /// Poked after another worker hands a connection to this one's inbox.
   int event_fd = -1;
   std::unordered_map<int, Conn> conns;
   /// Connections placed on this worker and not yet closed, inbox included:
@@ -165,7 +156,6 @@ bool Server::start() {
       if (w->epoll_fd >= 0) ::close(w->epoll_fd);
     }
     workers_.clear();
-    gcs_.clear();
     for (const int fd : listen_fds_)
       if (fd >= 0) ::close(fd);
     listen_fds_.clear();
@@ -197,18 +187,6 @@ bool Server::start() {
     bound_ports_.push_back(ntohs(addr.sin_port));
   }
 
-  window_us_ = commit_window_us_from_env(opts_.commit_window_us);
-  if (opts_.group_commit && !group_commit_disabled_by_env()) {
-    // One committer per shard, so commit traffic scales with the shards
-    // instead of funneling through one thread. Correctness does not depend
-    // on which committer fences a batch — SFENCE is CPU-global, so any
-    // shard's fence also retires the flushes a cross-shard routed op left
-    // behind in the same batch.
-    gcs_.reserve(shards);
-    for (std::uint32_t s = 0; s < shards; ++s)
-      gcs_.push_back(std::make_unique<GroupCommit>(window_us_));
-  }
-
   shard_ops_ = std::make_unique<std::atomic<std::uint64_t>[]>(shards);
   for (std::uint32_t s = 0; s < shards; ++s)
     shard_ops_[s].store(0, std::memory_order_relaxed);
@@ -232,7 +210,6 @@ bool Server::start() {
       eev.events = EPOLLIN;
       eev.data.fd = w->event_fd;
       ::epoll_ctl(w->epoll_fd, EPOLL_CTL_ADD, w->event_fd, &eev);
-      if (!gcs_.empty()) gcs_[s]->add_notify_fd(w->event_fd);
       workers_.push_back(std::move(w));
     }
   }
@@ -249,10 +226,6 @@ void Server::wait() {
   threads_.clear();
   if (started_ && !stopped_) {
     stopped_ = true;
-    // Workers have drained (every parked ack released via barrier), so the
-    // committers have nothing pending; stop them before tearing down their
-    // notification fds.
-    for (auto& gc : gcs_) gc->shutdown();
     for (auto& w : workers_) {
       // Handed to a worker after it drained: never served, so just closed.
       for (const int fd : w->inbox) {
@@ -274,10 +247,6 @@ void Server::wait() {
     // unfenced trailing flushes before the process exits.
     pmem::fence();
   }
-}
-
-GroupCommit* Server::shard_gc(const Worker& w) const {
-  return gcs_.empty() ? nullptr : gcs_[w.shard].get();
 }
 
 /// Best-effort NUMA-style pinning: split the hardware threads into
@@ -340,14 +309,12 @@ void Server::worker_main(unsigned global_index) {
         continue;
       }
       if (fd == w.event_fd) {
-        // A connection was handed over, or the committer fenced and some
-        // parked responses became releasable. Consume the wake before
-        // taking the inbox, so a handoff after the take wakes us again.
+        // A connection was handed over. Consume the wake before taking the
+        // inbox, so a handoff after the take wakes us again.
         std::uint64_t ticks;
         while (::read(w.event_fd, &ticks, sizeof ticks) > 0) {
         }
         adopt_inbox(w);
-        if (shard_gc(w) != nullptr) release_committed(w);
         continue;
       }
       auto it = w.conns.find(fd);
@@ -453,17 +420,16 @@ void Server::handle_readable(Worker& w, Conn& c) {
   if (peer_closed) {
     // Half-close: the peer may still be reading. Everything it sent is
     // executed above; flush_out drops EPOLLIN (level-triggered EOF would
-    // wake this worker forever) and closes once every response has left,
-    // including ones still parked behind a group-commit ticket.
+    // wake this worker forever) and closes once every response has left.
     c.close_after_flush = true;
     flush_out(w, c);
   }
 }
 
 /// Parses and executes up to max_batch frames from c.in, encodes responses
-/// into c.out, then commits the batch: one fence if anything mutated, one
-/// send() for all responses. Returns true if a full batch was executed and
-/// more complete frames may still be buffered.
+/// into c.out, then commits the batch: one ack fence if anything mutated,
+/// then one send() for all responses. Returns true if a full batch was
+/// executed and more complete frames may still be buffered.
 ///
 /// Consecutive GETs are collected into a run and searched together per
 /// shard (UPSkipList::search_many). The run executes before any other op
@@ -475,18 +441,10 @@ bool Server::execute_batch(Worker& w, Conn& c) {
   unsigned mutations = 0;
   // Batch-wide deferred-ack scope (docs/write-path.md): every mutation's
   // ack-gating line flushes are collected here — deduped across the whole
-  // pipelined batch, not per op — and commit below under a single fence, or
-  // ride a group-commit ticket that shares that fence across connections.
-  // Cross-shard routed mutations land here too; the fence that retires the
-  // batch is CPU-global, so durability does not depend on which shard's
-  // committer issues it.
+  // pipelined batch, not per op — and commit below under a single fence.
+  // Cross-shard routed mutations land here too; the fence is CPU-global, so
+  // it covers every shard's lines.
   pmem::AckBatch ab;
-  // Opened at the first mutation, closed right after submit or on any early
-  // return: while it is open the committer holds its pending fence for this
-  // batch's lines (at most the commit window); once no batch is open it
-  // fences at once.
-  GroupCommit* gc = shard_gc(w);
-  BatchScope open_batch(gc);
   const auto shards = static_cast<std::uint32_t>(stores_.size());
   while (executed < opts_.max_batch) {
     Request req;
@@ -513,16 +471,11 @@ bool Server::execute_batch(Worker& w, Conn& c) {
     execute_gets(w, c);
     bool op_mutated = false;
     // A SCANS response may stream each chunk frame out as soon as it is
-    // encoded — but only when nothing already in c.out is parked behind an
-    // unretired fence: no mutation earlier in this batch, no outstanding
-    // group-commit ticket. Everything before this op is then read-only
-    // responses, releasable by definition.
-    const bool allow_stream = mutations == 0 && c.pending_acks.empty();
-    execute_one(w, c, req, c.out, &op_mutated, allow_stream);
-    if (op_mutated) {
-      ++mutations;
-      open_batch.open();
-    }
+    // encoded — but only when no mutation earlier in this batch still waits
+    // for the batch fence. Everything ahead of it in c.out is then a
+    // read-only response or an ack an earlier batch already fenced.
+    execute_one(w, c, req, c.out, &op_mutated, /*allow_stream=*/mutations == 0);
+    if (op_mutated) ++mutations;
     if (c.fd < 0) return false;  // a streaming flush hit a dead socket
   }
   execute_gets(w, c);
@@ -534,30 +487,11 @@ bool Server::execute_batch(Worker& w, Conn& c) {
                  std::memory_order_relaxed);
   stats_.batches.fetch_add(1, std::memory_order_relaxed);
   if (mutations > 0) {
-    if (gc != nullptr) {
-      // Group commit: hand the deferred lines to the committer and park
-      // this batch's response bytes behind the returned ticket. The
-      // eventfd wakeup releases them once the covering fence retires.
-      const std::uint64_t ticket = gc->submit(ab.take_lines(), mutations);
-      open_batch.close();
-      c.pending_acks.emplace_back(ticket, c.out.size());
-      stats_.group_commit_batches.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // Per-batch ack gate: flush the batch's deferred lines and fence once
-      // before any response byte leaves — the coalesced equivalent of
-      // fencing per acknowledgement.
-      ab.commit_fenced();
-      stats_.batch_fences.fetch_add(1, std::memory_order_relaxed);
-      c.sendable_end = c.out.size();
-    }
-  } else {
-    // Read-only batch: releasable immediately — unless earlier batches on
-    // this connection are still parked; responses must stay FIFO, so these
-    // bytes ride the newest outstanding ticket.
-    if (c.pending_acks.empty())
-      c.sendable_end = c.out.size();
-    else
-      c.pending_acks.back().second = c.out.size();
+    // The ack gate: flush the batch's deferred lines and fence once before
+    // any response byte leaves — the coalesced equivalent of fencing per
+    // acknowledgement.
+    ab.commit_fenced();
+    stats_.batch_fences.fetch_add(1, std::memory_order_relaxed);
   }
   flush_out(w, c);
   return c.fd >= 0 && executed == opts_.max_batch && !c.in.empty();
@@ -727,7 +661,6 @@ void Server::execute_one(Worker& w, Conn& c, const Request& req,
                                    final_chunk,
                                    truncated ? cursor.resume_key() : 0, out);
         if (allow_stream && &out == &c.out) {
-          c.sendable_end = out.size();
           flush_out(w, c);
           if (c.fd < 0) return;
         }
@@ -863,11 +796,9 @@ void Server::execute_one(Worker& w, Conn& c, const Request& req,
 
 void Server::flush_out(Worker& w, Conn& c) {
   if (c.fd < 0) return;
-  // Only released bytes ([out_off, sendable_end)) may leave; bytes parked
-  // behind an uncommitted ticket wait for the committer's eventfd wakeup.
   while (c.has_pending_out()) {
     const ssize_t s = ::send(c.fd, c.out.data() + c.out_off,
-                             c.sendable_end - c.out_off, MSG_NOSIGNAL);
+                             c.out.size() - c.out_off, MSG_NOSIGNAL);
     if (s > 0) {
       c.out_off += static_cast<std::size_t>(s);
       continue;
@@ -878,18 +809,15 @@ void Server::flush_out(Worker& w, Conn& c) {
     return;
   }
   if (c.out_off == c.out.size() && !c.out.empty()) {
-    // Fully sent AND nothing parked (parked bytes sit above sendable_end,
-    // which out_off cannot pass), so the buffer can be recycled.
-    c.out.clear();
+    c.out.clear();  // fully sent: recycle the buffer
     c.out_off = 0;
-    c.sendable_end = 0;
   }
-  if (c.close_after_flush && !c.has_pending_out() && c.pending_acks.empty()) {
+  if (c.close_after_flush && !c.has_pending_out()) {
     close_conn(w, c);
     return;
   }
-  // EPOLLOUT covers kernel backpressure on released bytes only; EPOLLIN
-  // stays registered until the peer's FIN.
+  // EPOLLOUT covers kernel backpressure; EPOLLIN stays registered until the
+  // peer's FIN.
   const std::uint32_t events = (c.close_after_flush ? 0u : EPOLLIN) |
                                (c.has_pending_out() ? EPOLLOUT : 0u);
   if (events != c.events) {
@@ -898,25 +826,6 @@ void Server::flush_out(Worker& w, Conn& c) {
     ev.data.fd = c.fd;
     ::epoll_ctl(w.epoll_fd, EPOLL_CTL_MOD, c.fd, &ev);
     c.events = events;
-  }
-}
-
-void Server::release_committed(Worker& w) {
-  const std::uint64_t committed = shard_gc(w)->committed();
-  for (auto it = w.conns.begin(); it != w.conns.end();) {
-    Conn& c = it->second;
-    if (c.fd >= 0 && !c.pending_acks.empty()) {
-      while (!c.pending_acks.empty() &&
-             c.pending_acks.front().first <= committed) {
-        c.sendable_end = c.pending_acks.front().second;
-        c.pending_acks.pop_front();
-      }
-      flush_out(w, c);
-    }
-    if (c.fd < 0)
-      it = w.conns.erase(it);
-    else
-      ++it;
   }
 }
 
@@ -937,7 +846,6 @@ void Server::close_conn(Worker& w, Conn& c) {
 void Server::drain_worker(Worker& w) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(opts_.drain_timeout_sec);
-  GroupCommit* gc = shard_gc(w);
   adopt_inbox(w);
   std::vector<int> fds;
   fds.reserve(w.conns.size());
@@ -960,13 +868,6 @@ void Server::drain_worker(Worker& w) {
     while (execute_batch(w, c)) {
     }
     if (c.fd < 0) continue;
-    if (gc != nullptr && !c.pending_acks.empty()) {
-      // Every parked ticket is already submitted; wait for the covering
-      // fence so the drain never sends an un-durable ack.
-      gc->barrier();
-      c.sendable_end = c.out.size();
-      c.pending_acks.clear();
-    }
     while (c.has_pending_out() &&
            std::chrono::steady_clock::now() < deadline) {
       pollfd pfd = {c.fd, POLLOUT, 0};
@@ -996,8 +897,6 @@ std::string Server::stats_json() const {
   json += u64("batches", s.batches.load(std::memory_order_relaxed)) + ", ";
   json += u64("batch_fences",
               s.batch_fences.load(std::memory_order_relaxed)) + ", ";
-  json += u64("group_commit_batches",
-              s.group_commit_batches.load(std::memory_order_relaxed)) + ", ";
   json += u64("protocol_errors",
               s.protocol_errors.load(std::memory_order_relaxed)) + ", ";
   json += u64("gets", s.gets.load(std::memory_order_relaxed)) + ", ";
@@ -1023,7 +922,7 @@ std::string Server::stats_json() const {
   // Shard 0's epoch/index stay at the top level for pre-sharding consumers;
   // the "shards" array is the full per-shard picture. The trailing "pmem"
   // rollup is process-global (pmem::Stats is one singleton), i.e. already
-  // the merged view across every shard's pools and committers.
+  // the merged view across every shard's pools and workers.
   json += u64("epoch", stores_[0]->epoch()) + ", ";
   json += "\"index\": {";
   json += std::string("\"dram\": ") +
@@ -1061,18 +960,11 @@ std::string Server::stats_json() const {
             "}";
   }
   json += "], ";
-  json += "\"group_commit\": {";
-  json += std::string("\"enabled\": ") + (!gcs_.empty() ? "true" : "false") +
-          ", ";
+  // Write path (docs/write-path.md): every mutation batch fences its own
+  // acks, so group commit reads "off" for consumers of the old section.
+  json += "\"group_commit\": \"off\", ";
   json += std::string("\"mod_writes\": ") +
           (pmem::mod_writes_enabled() ? "true" : "false") + ", ";
-  json += u64("window_us", window_us_) + ", ";
-  // Process-global like the "pmem" rollup: commits that fenced as soon as
-  // no mutation batch was open vs. ones that ran the full window.
-  const pmem::StatsSnapshot pm = pmem::Stats::instance().snapshot();
-  json += u64("early_commits", pm.group_commits_early) + ", ";
-  json += u64("window_expired_commits", pm.group_commits_window_expired);
-  json += "}, ";
   // Open-time integrity verdict, merged across shards (docs/integrity.md):
   // what recovery detected and quarantined when these stores attached. The
   // FSCK opcode re-walks the store for a fresh deep check; this section is
@@ -1080,7 +972,7 @@ std::string Server::stats_json() const {
   core::IntegrityReport integ;
   for (const core::UPSkipList* st : stores_) integ.merge(st->integrity());
   json += "\"integrity\": " + integ.to_json() + ", ";
-  json += "\"pmem\": " + pm.to_json();
+  json += "\"pmem\": " + pmem::Stats::instance().snapshot().to_json();
   json += "}";
   return json;
 }

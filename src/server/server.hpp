@@ -4,11 +4,11 @@
 //
 // Sharding (docs/server.md): the key space is hash-partitioned across N
 // independent UPSkipList shards (common/shardmap.hpp). Shard s gets its own
-// listen socket (base port + s, or its own ephemeral port), its own group of
-// worker threads, and its own group committer — shards share nothing but
-// the process. Worker groups are pinned, best-effort, to disjoint CPU
-// groups approximating one (virtual) NUMA node per shard, so each shard's
-// threads stay local to the node its pools were placed on.
+// listen socket (base port + s, or its own ephemeral port) and its own group
+// of worker threads — shards share nothing but the process. Worker groups
+// are pinned, best-effort, to disjoint CPU groups approximating one
+// (virtual) NUMA node per shard, so each shard's threads stay local to the
+// node its pools were placed on.
 //
 // Routing: the dispatch layer routes every single-key request by its key to
 // the owning shard, whatever socket it arrived on — so a topology-unaware
@@ -32,14 +32,17 @@
 // arrived, executes the whole batch back-to-back against the store, and only
 // then writes the concatenated responses with one send(). Runs of
 // consecutive GETs are searched together (UPSkipList::search_many), so their
-// index descents overlap; the run executes before the next other op. Each
-// mutating operation is individually durable before it returns (the store
-// persists internally), and the server issues one extra pmem::fence() per batch that
-// contained a mutation before any response byte leaves — acknowledgements
-// are ordered after durability with one fence per batch, not one per op.
-// A peer's half-close (FIN) ends only its input: the frames it sent before
-// the FIN are executed and every response is delivered before the server
-// closes the socket.
+// index descents overlap; the run executes before the next other op.
+//
+// Acks (docs/write-path.md): a batch executes inside one pmem::AckBatch, so
+// each mutation's ack-gating line flushes are deferred and deduped across
+// the whole batch. A batch that mutated calls commit_fenced() once — one
+// flush set and one fence — before any of its response bytes leave, and
+// the same worker then sends them in the same wakeup. Nothing is parked and
+// no other thread is involved: a mutation's response leaves only after its
+// batch's commit_fenced(). A peer's half-close (FIN) ends only its input:
+// the frames it sent before the FIN are executed and every response is
+// delivered before the server closes the socket.
 //
 // Lifecycle: construct over already-recovered stores (the caller runs
 // Pool::open + UPSkipList/ShardSet::open first — the listen sockets must not
@@ -47,8 +50,7 @@
 // SIGTERM/SIGINT routed through install_signal_handlers() — triggers a
 // graceful drain: the listen sockets close (no new connections), every
 // worker executes the requests already buffered on its connections, flushes
-// pending responses, fences, and exits. wait() returns once all workers are
-// done.
+// pending responses, and exits. wait() returns once all workers are done.
 #pragma once
 
 #include <atomic>
@@ -62,8 +64,6 @@
 #include "core/upskiplist.hpp"
 
 namespace upsl::server {
-
-class GroupCommit;
 
 struct ServerOptions {
   std::string host = "127.0.0.1";
@@ -84,17 +84,10 @@ struct ServerOptions {
   unsigned max_batch = 64;
   /// Seconds a draining worker will wait for blocked response bytes.
   unsigned drain_timeout_sec = 5;
-  /// Cross-connection group commit (docs/write-path.md): mutation batches
-  /// from all connections within a commit window share one ack fence issued
-  /// by a dedicated committer thread (one per shard); responses park until
-  /// the covering fence retires. UPSL_DISABLE_GROUP_COMMIT=1 overrides this
-  /// to off.
-  bool group_commit = true;
-  /// Upper bound, in microseconds, on how long the committer holds a
-  /// pending fence open for other batches to join. It fences earlier, as
-  /// soon as no worker is mid-way through a mutation batch, so this bounds
-  /// the worst-case ack delay rather than adding a fixed one.
-  /// UPSL_COMMIT_WINDOW_US overrides.
+  /// Inert: the window of the retired cross-connection group commit. Every
+  /// mutation batch now fences itself (docs/write-path.md), so nothing
+  /// reads this; it stays settable for callers written against it, and
+  /// commit_window_us() reports 0.
   std::uint32_t commit_window_us = 50;
 };
 
@@ -107,10 +100,8 @@ struct ServerStats {
   std::atomic<std::uint64_t> connections_handed_off{0};
   std::atomic<std::uint64_t> frames{0};
   std::atomic<std::uint64_t> batches{0};
+  /// Batches that mutated, each closed by one ack fence.
   std::atomic<std::uint64_t> batch_fences{0};
-  /// Mutation batches handed to the group committer (their fences are
-  /// counted in pmem::Stats::group_commits, not batch_fences).
-  std::atomic<std::uint64_t> group_commit_batches{0};
   std::atomic<std::uint64_t> protocol_errors{0};
   std::atomic<std::uint64_t> gets{0};
   std::atomic<std::uint64_t> puts{0};
@@ -131,7 +122,7 @@ class Server {
  public:
   /// Unsharded (N=1) server over one store — the pre-sharding configuration.
   Server(core::UPSkipList& store, ServerOptions opts);
-  /// Sharded server: one listen socket + worker group + committer per shard.
+  /// Sharded server: one listen socket + worker group per shard.
   /// The ShardSet must outlive the server.
   Server(core::ShardSet& shards, ServerOptions opts);
   ~Server();
@@ -161,13 +152,12 @@ class Server {
 
   const ServerStats& stats() const { return stats_; }
 
-  /// True iff this server runs with the cross-connection group committers
-  /// (option on and not killed by UPSL_DISABLE_GROUP_COMMIT). Valid after
-  /// start().
-  bool group_commit_enabled() const { return !gcs_.empty(); }
+  /// Always false: acks are fenced per executed batch, never shared across
+  /// connections. Kept, like data_plane(), for reports that print it.
+  bool group_commit_enabled() const { return false; }
 
-  /// Effective commit window (env override applied). Valid after start().
-  std::uint32_t commit_window_us() const { return window_us_; }
+  /// Always 0: no ack waits on a commit window.
+  std::uint32_t commit_window_us() const { return 0; }
 
   /// The data plane the workers run, as reported in STATS: always "epoll".
   const char* data_plane() const { return "epoll"; }
@@ -193,18 +183,14 @@ class Server {
   void place(Worker& w, int fd);
   void adopt(Worker& w, int fd);
   void adopt_inbox(Worker& w);
-  /// `allow_stream` permits SCANS to release+flush each chunk frame as soon
-  /// as it is encoded (nothing ahead of it in c.out is waiting on a fence).
+  /// `allow_stream` permits SCANS to flush each chunk frame as soon as it
+  /// is encoded (no earlier mutation in this batch is waiting on its fence).
   void execute_one(Worker& w, Conn& c, const struct Request& req,
                    std::vector<std::uint8_t>& out, bool* mutated,
                    bool allow_stream);
   void flush_out(Worker& w, Conn& c);
   void close_conn(Worker& w, Conn& c);
   void drain_worker(Worker& w);
-  /// Release every parked ack covered by the committer's progress and push
-  /// the freed bytes out (eventfd wakeup path).
-  void release_committed(Worker& w);
-  GroupCommit* shard_gc(const Worker& w) const;
   void maybe_pin_to_shard(unsigned shard) const;
   std::string stats_json() const;
 
@@ -217,8 +203,6 @@ class Server {
   bool stopped_ = false;
   std::vector<std::thread> threads_;
   std::vector<std::unique_ptr<Worker>> workers_;  // shard-major order
-  std::vector<std::unique_ptr<GroupCommit>> gcs_;  // empty = per-batch fencing
-  std::uint32_t window_us_ = 0;
   ServerStats stats_;
   /// Requests executed against each shard (wherever they arrived).
   std::unique_ptr<std::atomic<std::uint64_t>[]> shard_ops_;

@@ -17,7 +17,7 @@
 // connect is therefore guaranteed to be talking to a recovered store.
 //
 // SIGTERM/SIGINT trigger a graceful drain: stop accepting, execute the
-// requests already received, flush their responses, fence, exit 0.
+// requests already received, flush their responses, exit 0.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,7 +29,6 @@
 #include "core/shard_set.hpp"
 #include "core/upskiplist.hpp"
 #include "pmem/ack_batch.hpp"
-#include "server/group_commit.hpp"
 #include "server/server.hpp"
 
 namespace {
@@ -105,7 +104,7 @@ int main(int argc, char** argv) {
   core::Options opts;
   opts.keys_per_node = args.keys_per_node;
   // Any worker may execute a routed op against any shard, so every shard
-  // must have arena room for every worker id (plus main and committers).
+  // must have arena room for every worker id (plus main and spare ids).
   opts.max_threads = args.shards * args.workers + 4;
   opts.chunk.chunk_size = 1 << 20;
   // --pool-mb is the TOTAL data budget: split it across the shards.
@@ -219,11 +218,9 @@ int main(int argc, char** argv) {
   // "epoll" here on a kernel that refused the ring or under the kill switch.
   std::printf("upsl-serve: data plane %s\n", srv.data_plane());
   // Write-path report (docs/write-path.md): which ordering mode the store
-  // runs with and whether acks share fences across connections.
-  std::printf("upsl-serve: mod write path %s, group commit %s (window %u us)\n",
-              pmem::mod_writes_enabled() ? "on" : "off",
-              srv.group_commit_enabled() ? "on" : "off",
-              srv.commit_window_us());
+  // runs with; acks are fenced once per executed batch either way.
+  std::printf("upsl-serve: mod write path %s, one ack fence per batch\n",
+              pmem::mod_writes_enabled() ? "on" : "off");
   std::fflush(stdout);
 
   srv.wait();  // returns after a signal-triggered drain
@@ -243,15 +240,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(pm.scan_entries_returned),
                 static_cast<unsigned long long>(pm.scan_nodes_visited),
                 static_cast<unsigned long long>(pm.simd_scan_filters));
-  }
-  if (pm.group_commits > 0) {
-    std::printf("upsl-serve: %llu group commits covered %llu mutations "
-                "(%.3f fences/mutation; %llu early, %llu window-expired)\n",
-                static_cast<unsigned long long>(pm.group_commits),
-                static_cast<unsigned long long>(pm.group_commit_mutations),
-                pm.fences_per_mutation(),
-                static_cast<unsigned long long>(pm.group_commits_early),
-                static_cast<unsigned long long>(pm.group_commits_window_expired));
   }
   return 0;
 }

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <thread>
 
 #include "pmem/ack_batch.hpp"
 #include "test_util.hpp"
@@ -446,12 +447,11 @@ TEST(Crash, DanglingArenaTailRepairedBeforeReuse) {
 }
 
 TEST(Crash, DeferredAckLinesLostBeforeTheGroupFence) {
-  // MOD write path + group commit (docs/write-path.md): a batch's
-  // ack-gating lines are handed off via take_lines() and only become
-  // durable at the committer's fence. Crashing after the handoff but
-  // before that fence (modeled by dropping the lines) must leave every op
-  // in the batch unacked-in-flight: each may have taken effect or not,
-  // but never partially, and recovery must converge.
+  // MOD write path + batch fence (docs/write-path.md): a batch's
+  // ack-gating lines only become durable at the batch's one fence.
+  // Crashing before that fence (modeled by taking the lines and dropping
+  // them) must leave every op in the batch unacked-in-flight: each may have
+  // taken effect or not, but never partially, and recovery must converge.
   if (!pmem::mod_writes_enabled())
     GTEST_SKIP() << "legacy ordered write path: nothing defers";
   StoreHarness h(small_options(4, 10));
@@ -462,7 +462,7 @@ TEST(Crash, DeferredAckLinesLostBeforeTheGroupFence) {
     h.store().insert(7, 100);    // update of a durable value
     h.store().insert(1000, 5);   // fresh insert (out-of-place publish)
     h.store().remove(9);         // tombstone write
-    auto lines = ab.take_lines();  // the ticket the fence never covered
+    auto lines = ab.take_lines();  // lines the fence never covered
     EXPECT_GT(lines.size(), 0u);
   }
   h.crash_and_reopen();
@@ -483,6 +483,38 @@ TEST(Crash, DeferredAckLinesLostBeforeTheGroupFence) {
   for (std::uint64_t k = 2000; k < 2050; ++k) h.store().insert(k, k);
   h.store().check_invariants();
   h.store().check_no_leaks();
+}
+
+TEST(Crash, AcksNeverWaitOnAnotherThreadsBatchFence) {
+  // A batch's deferred lines gate only that batch's own acks, yet other
+  // threads act on its unfenced writes at once: they can insert into the
+  // node it just linked after the head, or update a key it just claimed,
+  // and ack their own ops before the batch fences. A crash that drops the
+  // batch's lines must not take those acked ops with it.
+  if (!pmem::mod_writes_enabled())
+    GTEST_SKIP() << "legacy ordered write path: nothing defers";
+  // 16 keys per node: a slot's key and value words sit on different lines.
+  StoreHarness h(small_options(16, 10));
+  for (std::uint64_t k = 1; k <= 20; ++k) h.store().insert(k * 1000, k);
+  h.mark_persisted();
+  {
+    pmem::AckBatch ab;
+    h.store().insert(5, 50);       // below every key: a new head successor
+    h.store().insert(1005, 1);     // fresh key claimed in an existing node
+    std::thread other([&] {
+      ThreadRegistry::instance().bind(1);
+      h.store().insert(6, 60);     // lands in the head successor
+      h.store().insert(1005, 2);   // updates the batch's claimed key
+    });
+    other.join();
+    (void)ab.take_lines();  // the batch never fences
+  }
+  h.crash_and_reopen();
+  EXPECT_EQ(h.store().search(6), std::optional<std::uint64_t>(60))
+      << "acked insert into an unfenced head successor lost";
+  EXPECT_EQ(h.store().search(1005), std::optional<std::uint64_t>(2))
+      << "acked update of an unfenced claim lost";
+  h.store().check_invariants();
 }
 
 TEST(Crash, ModPublishSurvivesRandomEviction) {

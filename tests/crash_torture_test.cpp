@@ -29,6 +29,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/checksum.hpp"
@@ -39,7 +40,6 @@
 #include "core/upskiplist.hpp"
 #include "lincheck/oracle.hpp"
 #include "pmem/ack_batch.hpp"
-#include "server/group_commit.hpp"
 #include "test_util.hpp"
 
 namespace upsl {
@@ -72,17 +72,76 @@ constexpr const char* kRecoveryPoints[] = {
 struct IterOutcome {
   bool main_crash_fired = false;
   int nested_crashes_fired = 0;
+  /// Batch-fence mode: committed batches that carried two or more
+  /// mutations, i.e. fences that acked several ops at once.
+  std::uint64_t multi_mutation_commits = 0;
 };
 
+/// Phase-1 workload shared by the single-store and sharded iterations. Each
+/// op is invoked in the oracle, run, and parked in `done` until its ack.
+/// Without `batch_fence` every op is acked as soon as it returns (the store
+/// persists it before returning). With `batch_fence` the thread runs the
+/// server's ack protocol: batches of 1-16 ops execute under one
+/// pmem::AckBatch, which defers every mutation's ack lines; the whole batch
+/// is acked only after commit_fenced() returns. A crash anywhere before that
+/// unwinds the scope without committing and leaves the whole batch pending
+/// in the oracle. Committed batches with two or more mutations count in
+/// `multi`.
+template <typename Store>
+void run_phase1_ops(Store& store, DurableOracle& oracle, std::uint32_t tid,
+                    Xoshiro256& trng, std::uint64_t keyspace,
+                    std::atomic<std::uint64_t>& next_value, bool batch_fence,
+                    std::atomic<std::uint64_t>& multi) {
+  std::vector<std::pair<std::size_t, std::optional<std::uint64_t>>> done;
+  unsigned mutations = 0;
+  auto one_op = [&] {
+    CrashPoints::instance().poll();
+    const std::uint64_t key = 1 + trng.next_below(keyspace);
+    const std::uint64_t dice = trng.next_below(100);
+    if (dice < 50) {
+      const std::uint64_t val = next_value.fetch_add(1);
+      const std::size_t ev = oracle.invoke(tid, EvKind::kWrite, key, val);
+      done.emplace_back(ev, store.insert(key, val));
+      ++mutations;
+    } else if (dice < 80) {
+      const std::size_t ev = oracle.invoke(tid, EvKind::kRead, key);
+      done.emplace_back(ev, store.search(key));
+    } else if (dice < 95) {
+      const std::size_t ev = oracle.invoke(tid, EvKind::kRemove, key);
+      done.emplace_back(ev, store.remove(key));
+      ++mutations;
+    } else {
+      std::vector<core::ScanEntry> out;  // unrecorded structural stress
+      if constexpr (std::is_same_v<Store, core::ShardSet>)
+        store.scan(1, keyspace, 0, out);  // cross-shard merge
+      else
+        store.scan(1, keyspace, out);
+    }
+  };
+  for (int op = 0; op < 600;) {
+    if (!batch_fence) {
+      one_op();
+      ++op;
+    } else {
+      const int k = 1 + static_cast<int>(trng.next_below(16));
+      pmem::AckBatch ab;
+      for (int i = 0; i < k && op < 600; ++i, ++op) one_op();
+      ab.commit_fenced();
+      if (mutations >= 2) multi.fetch_add(1);
+    }
+    for (const auto& [ev, ret] : done) oracle.ack_at(tid, ev, ret);
+    done.clear();
+    mutations = 0;
+  }
+}
+
 /// One complete torture iteration. Everything random derives from `seed`.
-/// With `group_commit`, phase-1 mutations run the server's commit protocol:
-/// each op defers its ack lines into an AckBatch, hands them to a shared
-/// GroupCommit ticket and acks only after the covering cross-thread fence
-/// retires — so the injected crash lands while acked durability was
-/// provided by group fences, and the oracle still demands every acked
+/// With `batch_fence`, phase-1 ops run the server's ack protocol
+/// (run_phase1_ops): the injected crash lands while acked durability was
+/// provided by batch fences alone, and the oracle still demands every acked
 /// write survive.
 IterOutcome run_iteration(std::uint64_t seed, pmem::CrashMode first_mode,
-                          bool group_commit = false) {
+                          bool batch_fence = false) {
   const int threads = torture_threads();
   Xoshiro256 rng(seed);
   test::StoreHarness h(test::small_options(/*keys_per_node=*/4,
@@ -100,31 +159,6 @@ IterOutcome run_iteration(std::uint64_t seed, pmem::CrashMode first_mode,
     oracle.invoke(0, EvKind::kWrite, key, val);
     oracle.ack(0, h.store().insert(key, val));
   }
-
-  // Group committer shared by every worker (short window so batches span
-  // threads without stretching the test): used in phase 1 only — it dies
-  // with the crash (abandon) like the server process would.
-  std::unique_ptr<server::GroupCommit> gc;
-  if (group_commit) gc = std::make_unique<server::GroupCommit>(20);
-  // Run one mutation under the commit protocol: open a batch (as the
-  // server does, so the committer holds its fence for in-flight siblings),
-  // defer ack lines, submit, close, wait for the covering fence.
-  // wait_durable throws CrashException when a simulated crash quiesces the
-  // run, leaving the op unacked (in-flight).
-  auto mutate = [&](auto&& op) -> std::optional<std::uint64_t> {
-    if (gc == nullptr) return op();
-    std::optional<std::uint64_t> r;
-    std::uint64_t ticket;
-    {
-      server::BatchScope open_batch(gc.get());
-      pmem::AckBatch ab;
-      open_batch.open();
-      r = op();
-      ticket = gc->submit(ab.take_lines(), 1);
-    }
-    gc->wait_durable(ticket);
-    return r;
-  };
 
   // ---- phase 1: concurrent workload, one injected crash, quiesce --------
   CrashPoints::ArmSpec spec;
@@ -145,33 +179,16 @@ IterOutcome run_iteration(std::uint64_t seed, pmem::CrashMode first_mode,
                           static_cast<std::uint64_t>(threads)));
   CrashPoints::instance().arm(spec);
 
+  std::atomic<std::uint64_t> multi{0};
   auto worker = [&](int t) {
     ThreadRegistry::instance().bind(t);
     Xoshiro256 trng(seed * 1000003 + static_cast<std::uint64_t>(t));
-    const auto tid = static_cast<std::uint32_t>(t);
     try {
-      for (int op = 0; op < 600; ++op) {
-        CrashPoints::instance().poll();
-        const std::uint64_t key = 1 + trng.next_below(keyspace);
-        const std::uint64_t dice = trng.next_below(100);
-        if (dice < 50) {
-          const std::uint64_t val = next_value.fetch_add(1);
-          oracle.invoke(tid, EvKind::kWrite, key, val);
-          oracle.ack(tid, mutate([&] { return h.store().insert(key, val); }));
-        } else if (dice < 80) {
-          oracle.invoke(tid, EvKind::kRead, key);
-          oracle.ack(tid, h.store().search(key));
-        } else if (dice < 95) {
-          oracle.invoke(tid, EvKind::kRemove, key);
-          oracle.ack(tid, mutate([&] { return h.store().remove(key); }));
-        } else {
-          std::vector<core::ScanEntry> out;  // unrecorded structural stress
-          h.store().scan(1, keyspace, out);
-        }
-      }
+      run_phase1_ops(h.store(), oracle, static_cast<std::uint32_t>(t), trng,
+                     keyspace, next_value, batch_fence, multi);
     } catch (const CrashException&) {
       // Died at a crash point — either as "the crash" or as a quiesced
-      // survivor; its open op stays pending in the oracle.
+      // survivor; its open ops stay pending in the oracle.
     }
   };
   {
@@ -179,11 +196,8 @@ IterOutcome run_iteration(std::uint64_t seed, pmem::CrashMode first_mode,
     for (int t = 0; t < threads; ++t) ws.emplace_back(worker, t);
     for (auto& w : ws) w.join();
   }
-  // The crash takes the committer down with the workers: pending (un-fenced)
-  // submissions are dropped exactly like un-retired flushes in a power
-  // failure. Their waiters are already dead (quiesced at wait_durable).
-  if (gc != nullptr) gc->abandon();
   IterOutcome out;
+  out.multi_mutation_commits = multi.load();
   out.main_crash_fired = CrashPoints::instance().fired();
   CrashPoints::instance().reset();
   oracle.on_crash();
@@ -285,15 +299,15 @@ IterOutcome run_iteration(std::uint64_t seed, pmem::CrashMode first_mode,
 
 /// Sharded torture iteration: the same three-phase campaign against a 4-way
 /// ShardSet. Mutations route by key, so the injected crash lands while
-/// in-flight ops are spread across every shard; with `group_commit`, each
-/// shard runs its own committer (the server's per-shard arrangement) and an
-/// op waits on the committer of the shard that owns its key. Reopen is the
+/// in-flight ops are spread across every shard; with `batch_fence`, one
+/// batch's mutations span shards under one AckBatch, as a server batch of
+/// routed ops does, and its single fence acks all of them. Reopen is the
 /// parallel ShardSet::open, which re-validates the durable topology every
 /// cycle; verification is the global oracle (each key lives on exactly one
 /// shard, so per-key durable linearizability is per-shard durable
 /// linearizability) plus per-shard structural and leak checks.
 IterOutcome run_sharded_iteration(std::uint64_t seed, pmem::CrashMode first_mode,
-                                  bool group_commit = false) {
+                                  bool batch_fence = false) {
   constexpr std::uint32_t kShards = 4;
   const int threads = torture_threads();
   Xoshiro256 rng(seed);
@@ -312,31 +326,6 @@ IterOutcome run_sharded_iteration(std::uint64_t seed, pmem::CrashMode first_mode
   }
   h.mark_persisted();
 
-  // One committer per shard, like the server: a mutation's ack lines go to
-  // the committer of the shard that owns the key. SFENCE is CPU-global, so
-  // each committer's fence is a valid covering fence for its batch even
-  // while sibling shards mutate concurrently.
-  std::vector<std::unique_ptr<server::GroupCommit>> gcs;
-  if (group_commit)
-    for (std::uint32_t s = 0; s < kShards; ++s)
-      gcs.push_back(std::make_unique<server::GroupCommit>(20));
-  auto mutate = [&](std::uint64_t key,
-                    auto&& op) -> std::optional<std::uint64_t> {
-    if (gcs.empty()) return op();
-    server::GroupCommit* gc = gcs[h.set().shard_of(key)].get();
-    std::optional<std::uint64_t> r;
-    std::uint64_t ticket;
-    {
-      server::BatchScope open_batch(gc);
-      pmem::AckBatch ab;
-      open_batch.open();
-      r = op();
-      ticket = gc->submit(ab.take_lines(), 1);
-    }
-    gc->wait_durable(ticket);
-    return r;
-  };
-
   // ---- phase 1: concurrent routed workload, one injected crash -----------
   CrashPoints::ArmSpec spec;
   spec.quiesce = true;
@@ -352,30 +341,13 @@ IterOutcome run_sharded_iteration(std::uint64_t seed, pmem::CrashMode first_mode
                           static_cast<std::uint64_t>(threads)));
   CrashPoints::instance().arm(spec);
 
+  std::atomic<std::uint64_t> multi{0};
   auto worker = [&](int t) {
     ThreadRegistry::instance().bind(t);
     Xoshiro256 trng(seed * 1000003 + static_cast<std::uint64_t>(t));
-    const auto tid = static_cast<std::uint32_t>(t);
     try {
-      for (int op = 0; op < 600; ++op) {
-        CrashPoints::instance().poll();
-        const std::uint64_t key = 1 + trng.next_below(keyspace);
-        const std::uint64_t dice = trng.next_below(100);
-        if (dice < 50) {
-          const std::uint64_t val = next_value.fetch_add(1);
-          oracle.invoke(tid, EvKind::kWrite, key, val);
-          oracle.ack(tid, mutate(key, [&] { return h.set().insert(key, val); }));
-        } else if (dice < 80) {
-          oracle.invoke(tid, EvKind::kRead, key);
-          oracle.ack(tid, h.set().search(key));
-        } else if (dice < 95) {
-          oracle.invoke(tid, EvKind::kRemove, key);
-          oracle.ack(tid, mutate(key, [&] { return h.set().remove(key); }));
-        } else {
-          std::vector<core::ScanEntry> out;  // cross-shard merge stress
-          h.set().scan(1, keyspace, 0, out);
-        }
-      }
+      run_phase1_ops(h.set(), oracle, static_cast<std::uint32_t>(t), trng,
+                     keyspace, next_value, batch_fence, multi);
     } catch (const CrashException&) {
     }
   };
@@ -384,8 +356,8 @@ IterOutcome run_sharded_iteration(std::uint64_t seed, pmem::CrashMode first_mode
     for (int t = 0; t < threads; ++t) ws.emplace_back(worker, t);
     for (auto& w : ws) w.join();
   }
-  for (auto& gc : gcs) gc->abandon();
   IterOutcome out;
+  out.multi_mutation_commits = multi.load();
   out.main_crash_fired = CrashPoints::instance().fired();
   CrashPoints::instance().reset();
   oracle.on_crash();
@@ -491,7 +463,7 @@ IterOutcome run_sharded_iteration(std::uint64_t seed, pmem::CrashMode first_mode
 
 /// Detectable-sessions iteration (docs/detectability.md): workers are
 /// durable client sessions pipelining 1–4 detectable mutations per
-/// group-commit ticket. After the crash the harness replays the server's
+/// batch fence. After the crash the harness replays the server's
 /// reconnect-and-resolve protocol and holds the campaign to *exactly-once*
 /// instead of either-outcome: every un-acked detectable op is resolved
 /// through the session table, the per-session answers must form an applied
@@ -547,8 +519,6 @@ IterOutcome run_detect_iteration(std::uint64_t seed) {
     logs[static_cast<std::size_t>(t)].client_id =
         1000 + static_cast<std::uint64_t>(t);
 
-  auto gc = std::make_unique<server::GroupCommit>(20);
-
   // ---- phase 1: pipelined detectable workload, one injected crash --------
   CrashPoints::ArmSpec spec;
   spec.quiesce = true;
@@ -564,6 +534,7 @@ IterOutcome run_detect_iteration(std::uint64_t seed) {
                           static_cast<std::uint64_t>(threads)));
   CrashPoints::instance().arm(spec);
 
+  std::atomic<std::uint64_t> multi{0};
   auto worker = [&](int t) {
     ThreadRegistry::instance().bind(t);
     SessionLog& log = logs[static_cast<std::size_t>(t)];
@@ -579,15 +550,13 @@ IterOutcome run_detect_iteration(std::uint64_t seed) {
       std::uint64_t seq = 0;
       for (int batch = 0; batch < 150; ++batch) {
         CrashPoints::instance().poll();
-        // Pipeline k ops under one AckBatch/ticket; keep k well below the
-        // result-ring depth (8) so no pending result can age out.
+        // Pipeline k ops under one AckBatch, acked by its one fence; keep k
+        // well below the result-ring depth (8) so no pending result can age
+        // out.
         const int k = 1 + static_cast<int>(trng.next_below(4));
         const std::size_t first = log.ops.size();
-        std::uint64_t ticket;
         {
-          server::BatchScope open_batch(gc.get());
           pmem::AckBatch ab;
-          open_batch.open();
           for (int i = 0; i < k; ++i) {
             IssuedOp op;
             op.seq = ++seq;
@@ -609,9 +578,9 @@ IterOutcome run_detect_iteration(std::uint64_t seed) {
                 << "fresh seq " << op.seq << " deduped [seed=" << seed << "]";
             log.ops.back().prev = r.previous;
           }
-          ticket = gc->submit(ab.take_lines(), static_cast<std::uint64_t>(k));
+          ab.commit_fenced();
         }
-        gc->wait_durable(ticket);
+        if (k >= 2) multi.fetch_add(1);
         for (std::size_t i = first; i < log.ops.size(); ++i)
           oracle.ack_at(tid, log.ops[i].ev, log.ops[i].prev);
         log.acked = log.ops.size();
@@ -625,8 +594,8 @@ IterOutcome run_detect_iteration(std::uint64_t seed) {
     for (int t = 0; t < threads; ++t) ws.emplace_back(worker, t);
     for (auto& w : ws) w.join();
   }
-  gc->abandon();
   IterOutcome out;
+  out.multi_mutation_commits = multi.load();
   out.main_crash_fired = CrashPoints::instance().fired();
   CrashPoints::instance().reset();
   oracle.on_crash();
@@ -932,23 +901,11 @@ CorruptionOutcome run_corruption_iteration(std::uint64_t seed,
   return out;
 }
 
-/// Group commits since `t0` whose fence covered more than `per_submit`
-/// mutations — with every submission carrying at most `per_submit`, each of
-/// them batched more than one submission (pmem::Stats' batch-size
-/// histogram: bucket i holds commits of <= 2^i mutations).
-std::uint64_t multi_submission_commits(const pmem::StatsSnapshot& t0,
-                                       std::uint64_t per_submit) {
-  const pmem::StatsSnapshot d = pmem::Stats::instance().snapshot() - t0;
-  std::uint64_t n = 0;
-  for (std::size_t i = 0; i < pmem::StatsSnapshot::kGroupCommitBuckets; ++i)
-    if ((std::uint64_t{1} << i) > per_submit) n += d.group_commit_hist[i];
-  return n;
-}
 
 /// Runs `iters` seeded iterations under `mode` and reports the failing seed
 /// (the CI greps for "failing seed" on error).
 void run_shard(const char* shard, std::uint64_t seed_base,
-               pmem::CrashMode mode, bool group_commit = false,
+               pmem::CrashMode mode, bool batch_fence = false,
                bool sharded_store = false) {
   const std::uint64_t iters = env_u64("UPSL_TORTURE_ITERS", 50);
   // An explicit UPSL_TORTURE_SEED0 is an absolute seed (what a failure
@@ -959,16 +916,17 @@ void run_shard(const char* shard, std::uint64_t seed_base,
       explicit_seed ? env_u64("UPSL_TORTURE_SEED0", 1) : 1 + seed_base;
   std::uint64_t fired = 0;
   std::uint64_t nested_fired = 0;
-  const pmem::StatsSnapshot stats0 = pmem::Stats::instance().snapshot();
+  std::uint64_t multi = 0;
   for (std::uint64_t i = 0; i < iters; ++i) {
     const std::uint64_t seed = seed0 + i;
     SCOPED_TRACE(std::string(shard) + " iteration " + std::to_string(i) +
                  " seed " + std::to_string(seed));
     const IterOutcome out = sharded_store
-                                ? run_sharded_iteration(seed, mode, group_commit)
-                                : run_iteration(seed, mode, group_commit);
+                                ? run_sharded_iteration(seed, mode, batch_fence)
+                                : run_iteration(seed, mode, batch_fence);
     fired += out.main_crash_fired ? 1 : 0;
     nested_fired += static_cast<std::uint64_t>(out.nested_crashes_fired);
+    multi += out.multi_mutation_commits;
     if (::testing::Test::HasFailure()) {
       std::fprintf(stderr,
                    "\n*** crash_torture failing seed: %llu (shard %s, "
@@ -991,13 +949,11 @@ void run_shard(const char* shard, std::uint64_t seed_base,
     EXPECT_GT(nested_fired, 0u)
         << "recovery-path crash never fired across " << iters
         << " iterations";
-    // Workers bracket each mutation as an open batch, so the committer
-    // still holds a fence for in-flight siblings: some fences must cover
-    // more than one single-op submission.
-    if (group_commit) {
-      EXPECT_GT(multi_submission_commits(stats0, 1), 0u)
-          << "no group commit batched two submissions across " << iters
-          << " iterations";
+    // Batches draw 1-16 ops: some fences must have acked several
+    // mutations at once, or the mode degraded to per-op persists.
+    if (batch_fence) {
+      EXPECT_GT(multi, 0u) << "no batch fence acked two mutations across "
+                           << iters << " iterations";
     }
   }
 }
@@ -1027,31 +983,34 @@ TEST(CrashTorture, DiscardModePersistentTowers) {
   run_shard("discard-towers", 400'000, pmem::CrashMode::kDiscardUnflushed);
 }
 
-// Group-commit shard: acked durability in phase 1 is provided by shared
-// cross-thread fences (the server's commit protocol, docs/write-path.md)
-// instead of per-op persists; the oracle's acked-writes-survive check now
-// gates the MOD write path + AckBatch + GroupCommit combination under
-// injected crashes, including crashes that strand waiters mid-window.
+// Batch-fence shard (the name predates the retired cross-connection
+// committer; "group commit" is now the batch's shared fence): acked
+// durability in phase 1 is provided by one AckBatch::commit_fenced() per
+// batch of 1-16 ops, the server's ack protocol (docs/write-path.md), instead
+// of per-op persists. The oracle's acked-writes-survive check gates the MOD
+// write path + AckBatch combination under injected crashes, including
+// crashes mid-batch that must leave the whole batch pending.
 TEST(CrashTorture, DiscardModeGroupCommit) {
-  run_shard("discard-groupcommit", 500'000,
-            pmem::CrashMode::kDiscardUnflushed, /*group_commit=*/true);
+  run_shard("discard-batchfence", 500'000,
+            pmem::CrashMode::kDiscardUnflushed, /*batch_fence=*/true);
 }
 
-// Sharded-store shard: the whole campaign against a 4-way ShardSet with
-// per-shard group committers — crashes land with in-flight mutations spread
-// across shards, every reopen runs the parallel recovery and re-validates
-// the durable topology, and the leak/invariant checks run per shard.
+// Sharded-store shard: the whole campaign against a 4-way ShardSet, with
+// batch fences whose batches route across shards — crashes land with
+// in-flight mutations spread across shards, every reopen runs the parallel
+// recovery and re-validates the durable topology, and the leak/invariant
+// checks run per shard.
 TEST(CrashTorture, DiscardModeShardedStore) {
   run_shard("discard-sharded", 600'000, pmem::CrashMode::kDiscardUnflushed,
-            /*group_commit=*/true, /*sharded_store=*/true);
+            /*batch_fence=*/true, /*sharded_store=*/true);
 }
 
 // Detectable-sessions shard: phase 1 runs pipelined detectable mutations
-// through the group committer, and the post-crash phase upgrades the oracle
-// from either-outcome to exactly-once — every un-acked op is resolved
-// through the durable session table, not-applied ops replay under the same
-// seq, and duplicate probes must return original results without
-// re-applying. No nested recovery re-crash: the resolve/replay protocol
+// in batches acked by one batch fence each, and the post-crash phase
+// upgrades the oracle from either-outcome to exactly-once — every un-acked
+// op is resolved through the durable session table, not-applied ops replay
+// under the same seq, and duplicate probes must return original results
+// without re-applying. No nested recovery re-crash: the resolve/replay protocol
 // itself is the recovery under test (run_detect_iteration for the details).
 TEST(CrashTorture, DiscardModeDetectableSessions) {
   const std::uint64_t iters = env_u64("UPSL_TORTURE_ITERS", 50);
@@ -1059,13 +1018,14 @@ TEST(CrashTorture, DiscardModeDetectableSessions) {
   const std::uint64_t seed0 =
       explicit_seed ? env_u64("UPSL_TORTURE_SEED0", 1) : 1 + 700'000;
   std::uint64_t fired = 0;
-  const pmem::StatsSnapshot stats0 = pmem::Stats::instance().snapshot();
+  std::uint64_t multi = 0;
   for (std::uint64_t i = 0; i < iters; ++i) {
     const std::uint64_t seed = seed0 + i;
     SCOPED_TRACE("discard-detect iteration " + std::to_string(i) + " seed " +
                  std::to_string(seed));
     const IterOutcome out = run_detect_iteration(seed);
     fired += out.main_crash_fired ? 1 : 0;
+    multi += out.multi_mutation_commits;
     if (::testing::Test::HasFailure()) {
       std::fprintf(stderr,
                    "\n*** crash_torture failing seed: %llu (shard "
@@ -1079,12 +1039,10 @@ TEST(CrashTorture, DiscardModeDetectableSessions) {
   EXPECT_GE(fired * 5, iters * 4)
       << "main crash fired in only " << fired << "/" << iters
       << " iterations";
-  // Submissions carry 1-4 ops, so a fence over more than 4 mutations
-  // batched at least two of them.
+  // Batches carry 1-4 ops: some fences must have acked several at once.
   if (iters >= 20) {
-    EXPECT_GT(multi_submission_commits(stats0, 4), 0u)
-        << "no group commit batched two submissions across " << iters
-        << " iterations";
+    EXPECT_GT(multi, 0u) << "no batch fence acked two detectable mutations "
+                         << "across " << iters << " iterations";
   }
 }
 

@@ -377,8 +377,8 @@ TEST_F(AckBatchTest, CommittedAcksSurviveCrash) {
 }
 
 TEST_F(AckBatchTest, TakenLinesAreNotDurableUntilTheGroupFence) {
-  // take_lines() models handing the batch to a group-commit ticket: the
-  // scope no longer owes durability, so a crash before the committer's
+  // take_lines() hands the batch's lines to a caller that fences them
+  // itself: the scope no longer owes durability, so a crash before that
   // fence drops the writes — exactly the unacked-op-in-flight semantics.
   std::vector<const void*> lines;
   {
@@ -389,10 +389,10 @@ TEST_F(AckBatchTest, TakenLinesAreNotDurableUntilTheGroupFence) {
   }
   EXPECT_EQ(lines.size(), 1u);
   EXPECT_EQ(Stats::instance().fences.load(), 0u) << "no fence before commit";
-  auto copy = lines;  // the committer's side of the handoff
+  auto copy = lines;  // the taker's side of the handoff
   pool_->simulate_crash();
   EXPECT_EQ(words_[0], 0u) << "un-fenced ticket lines must not survive";
-  // After the committer flushes + fences, the line is durable.
+  // After the taker flushes + fences, the line is durable.
   words_[0] = 5;
   flush_lines(copy.data(), copy.size());
   fence();
@@ -465,30 +465,6 @@ TEST_F(AckBatchTest, NestedScopesRestoreTheOuterOne) {
   ack_persist(&words_[8], 8);
   EXPECT_EQ(outer.lines(), 1u);
   outer.commit_fenced();
-}
-
-TEST(Persist, GroupCommitHistogramBuckets) {
-  Stats::instance().reset();
-  Stats::instance().note_group_commit(1, /*early=*/true);
-  Stats::instance().note_group_commit(2, /*early=*/true);
-  Stats::instance().note_group_commit(5, /*early=*/false);
-  Stats::instance().note_group_commit(16, /*early=*/true);
-  Stats::instance().note_group_commit(40, /*early=*/false);
-  const StatsSnapshot s = Stats::instance().snapshot();
-  EXPECT_EQ(s.group_commits, 5u);
-  EXPECT_EQ(s.group_commit_mutations, 64u);
-  EXPECT_EQ(s.group_commit_hist[0], 1u);  // <=1
-  EXPECT_EQ(s.group_commit_hist[1], 1u);  // <=2
-  EXPECT_EQ(s.group_commit_hist[3], 1u);  // <=8 (5 lands here)
-  EXPECT_EQ(s.group_commit_hist[4], 1u);  // <=16
-  EXPECT_EQ(s.group_commit_hist[5], 1u);  // >16
-  EXPECT_EQ(s.group_commits_early, 3u);
-  EXPECT_EQ(s.group_commits_window_expired, 2u);
-  EXPECT_NEAR(s.fences_per_mutation(), 5.0 / 64.0, 1e-9);
-  EXPECT_NE(s.to_json().find("group_commit_batch_hist"), std::string::npos);
-  EXPECT_NE(s.to_json().find("\"group_commits_early\": 3"), std::string::npos);
-  EXPECT_NE(s.to_json().find("\"group_commits_window_expired\": 2"),
-            std::string::npos);
 }
 
 TEST(Persist, PersistCountsItsFence) {

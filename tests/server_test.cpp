@@ -19,9 +19,9 @@
 #include <numeric>
 #include <optional>
 #include <thread>
+#include <unordered_map>
 
 #include "server/client.hpp"
-#include "server/group_commit.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "test_util.hpp"
@@ -408,6 +408,29 @@ TEST(ServerLoopback, DataPlaneReportedInStats) {
       << stats;
 }
 
+/// Reads responses from fd until `n` have arrived (n = 0: until the server
+/// closes it); returns every complete response frame.
+std::vector<Response> read_responses(int fd, std::size_t n = 0) {
+  std::vector<std::uint8_t> in;
+  std::vector<Response> out;
+  std::size_t off = 0;
+  char buf[64 * 1024];
+  while (n == 0 || out.size() < n) {
+    const ssize_t r = ::recv(fd, buf, sizeof buf, 0);
+    if (r <= 0) break;
+    in.insert(in.end(), buf, buf + r);
+    Response resp;
+    std::size_t consumed = 0;
+    while (parse_response(in.data() + off, in.size() - off, &resp,
+                          &consumed) == ParseResult::kOk) {
+      off += consumed;
+      out.push_back(resp);
+    }
+  }
+  EXPECT_EQ(off, in.size()) << "trailing partial frame";
+  return out;
+}
+
 /// Writes `req` to fd, shuts down the write side, then reads until the
 /// server closes the connection; returns every complete response frame.
 std::vector<Response> send_then_half_close(int fd,
@@ -415,32 +438,13 @@ std::vector<Response> send_then_half_close(int fd,
   EXPECT_EQ(::send(fd, req.data(), req.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(req.size()));
   EXPECT_EQ(::shutdown(fd, SHUT_WR), 0);
-  std::vector<std::uint8_t> in;
-  char buf[64 * 1024];
-  while (true) {
-    const ssize_t r = ::recv(fd, buf, sizeof buf, 0);
-    if (r <= 0) break;  // EOF: the server closed after its last response
-    in.insert(in.end(), buf, buf + r);
-  }
-  std::vector<Response> out;
-  std::size_t off = 0;
-  while (off < in.size()) {
-    Response r;
-    std::size_t consumed = 0;
-    if (parse_response(in.data() + off, in.size() - off, &r, &consumed) !=
-        ParseResult::kOk)
-      break;
-    off += consumed;
-    out.push_back(std::move(r));
-  }
-  EXPECT_EQ(off, in.size()) << "trailing partial frame";
-  return out;
+  return read_responses(fd);
 }
 
 TEST(ServerLoopback, HalfCloseDeliversEveryAck) {
   // A client that pipelines writes and then half-closes still reads every
-  // acknowledgement. With group commit on, the acks are still parked behind
-  // a ticket when the FIN arrives; closing at the FIN would drop them.
+  // acknowledgement: the FIN can arrive in the same read as the frames, and
+  // closing at the FIN would drop the batch's acks.
   ServerFixture f;
   const int fd = raw_connect(f.srv->port());
   ASSERT_GE(fd, 0);
@@ -726,20 +730,7 @@ TEST(ServerLoopback, UnackedInFlightWriteIsAtomicAcrossCrash) {
     EXPECT_EQ(*v, kValue) << "in-flight PUT applied but torn";
 }
 
-// ---- cross-connection group commit ----------------------------------------
-
-using std::chrono::milliseconds;
-using std::chrono::steady_clock;
-
-/// Polls until ticket `seq` is committed; false if `ms` pass first.
-bool committed_within(const GroupCommit& gc, std::uint64_t seq, int ms) {
-  const auto deadline = steady_clock::now() + milliseconds(ms);
-  while (gc.committed() < seq) {
-    if (steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  return true;
-}
+// ---- ack path: one fence per executed batch --------------------------------
 
 /// The number after `"key": ` in a flat JSON text; 0 when absent.
 std::uint64_t json_u64(const std::string& json, const std::string& key) {
@@ -749,138 +740,30 @@ std::uint64_t json_u64(const std::string& json, const std::string& key) {
   return std::strtoull(json.c_str() + at + needle.size(), nullptr, 10);
 }
 
-// The commit window is an upper bound: with no mutation batch open, nothing
-// else can join the fence, so the committer must not sit out the window.
-TEST(GroupCommitRule, NoOpenBatchCommitsWellInsideTheWindow) {
-  GroupCommit gc(200000);  // 200 ms
-  const std::uint64_t early0 =
-      pmem::Stats::instance().snapshot().group_commits_early;
-  const std::uint64_t t = gc.submit({}, 1);
-  EXPECT_TRUE(committed_within(gc, t, 20))
-      << "a lone submission waited for the 200 ms window";
-  EXPECT_GT(pmem::Stats::instance().snapshot().group_commits_early, early0);
-}
-
-TEST(GroupCommitRule, OpenBatchHoldsTheFenceUntilItSubmitsAndCloses) {
-  GroupCommit gc(200000);
-  gc.open_batch();  // a worker mid-way through a mutation batch
-  const std::uint64_t other = gc.submit({}, 1);
-  std::this_thread::sleep_for(milliseconds(30));
-  EXPECT_LT(gc.committed(), other)
-      << "fenced while a batch that could join was still open";
-  const std::uint64_t mine = gc.submit({}, 2);
-  EXPECT_LT(gc.committed(), other) << "submit alone must not close the batch";
-  gc.close_batch();
-  EXPECT_TRUE(committed_within(gc, mine, 20))
-      << "closing the last open batch did not release the fence";
-  EXPECT_GE(gc.committed(), other);
-}
-
-TEST(GroupCommitRule, WindowExpiryCommitsPastABatchThatNeverCloses) {
-  GroupCommit gc(30000);  // 30 ms
-  const std::uint64_t expired0 =
-      pmem::Stats::instance().snapshot().group_commits_window_expired;
-  BatchScope holder(&gc);
-  holder.open();  // never submits; closes only when the test ends
-  const auto t0 = steady_clock::now();
-  const std::uint64_t t = gc.submit({}, 1);
-  ASSERT_TRUE(committed_within(gc, t, 2000))
-      << "an open batch must delay the fence by at most the window";
-  EXPECT_GE(steady_clock::now() - t0, milliseconds(29));
-  EXPECT_GT(pmem::Stats::instance().snapshot().group_commits_window_expired,
-            expired0);
-}
-
-TEST(ServerLoopback, LoneConnectionDoesNotWaitOutTheCommitWindow) {
-  test::ScopedEnv win("UPSL_COMMIT_WINDOW_US", "200000");
-  ServerFixture f;
-  Client c = f.connect();
-  ASSERT_TRUE(c.ping());
-  std::vector<Response> resp;
-  for (std::uint64_t k = 1; k <= 16; ++k) c.queue({Opcode::kPut, k, k});
-  const auto t0 = steady_clock::now();
-  c.flush(&resp);
-  const auto rtt = steady_clock::now() - t0;
-  ASSERT_EQ(resp.size(), 16u);
-  for (const Response& r : resp) EXPECT_EQ(r.status, Status::kCreated);
-  EXPECT_LT(rtt, milliseconds(50))
-      << "16 PUTs took "
-      << std::chrono::duration_cast<milliseconds>(rtt).count()
-      << " ms: the committer waited out its 200 ms window";
-}
-
 TEST(ServerLoopback, GroupCommitStatsSurfaceInStatsVerb) {
-  if (std::getenv("UPSL_DISABLE_GROUP_COMMIT") != nullptr)
-    GTEST_SKIP() << "group commit disabled by env";
+  // Cross-connection group commit is retired: every mutating batch fences
+  // itself, STATS counts those fences and reports group commit off.
   ServerFixture f;
-  ASSERT_TRUE(f.srv->group_commit_enabled());
+  EXPECT_FALSE(f.srv->group_commit_enabled());
   Client c = f.connect();
   const std::string before = c.stats_json();
   std::vector<Response> resp;
   for (std::uint64_t k = 1; k <= 64; ++k) c.queue({Opcode::kPut, k, k});
   c.flush(&resp);
   ASSERT_EQ(resp.size(), 64u);
-  EXPECT_GE(f.srv->stats().group_commit_batches.load(), 1u)
-      << "acked mutation batches must have gone through the committer";
+  EXPECT_GT(f.srv->stats().batch_fences.load(), 0u);
   const std::string stats = c.stats_json();
-  EXPECT_NE(stats.find("\"group_commit\""), std::string::npos) << stats;
-  EXPECT_NE(stats.find("\"enabled\": true"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("group_commit_batches"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("group_commit_batch_hist"), std::string::npos)
+  EXPECT_GT(json_u64(stats, "batch_fences"), json_u64(before, "batch_fences"))
       << stats;
-  // Every commit is early or window-expired. A single connection never has
-  // a second batch open, so its commits all fire early.
-  EXPECT_NE(stats.find("\"window_expired_commits\""), std::string::npos)
+  EXPECT_NE(stats.find("\"group_commit\": \"off\""), std::string::npos)
       << stats;
-  EXPECT_NE(stats.find("\"group_commits_window_expired\""),
-            std::string::npos)
-      << stats;
-  const std::uint64_t early =
-      json_u64(stats, "early_commits") - json_u64(before, "early_commits");
-  const std::uint64_t expired = json_u64(stats, "window_expired_commits") -
-                                json_u64(before, "window_expired_commits");
-  const std::uint64_t commits = json_u64(stats, "group_commits") -
-                                json_u64(before, "group_commits");
-  EXPECT_GE(early, 1u) << stats;
-  EXPECT_EQ(early + expired, commits) << stats;
-  EXPECT_EQ(json_u64(stats, "early_commits"),
-            json_u64(stats, "group_commits_early"))
-      << "STATS group_commit and pmem sections disagree: " << stats;
-}
-
-TEST(ServerLoopback, GroupCommitKillSwitchFallsBackToBatchFences) {
-  test::ScopedEnv off("UPSL_DISABLE_GROUP_COMMIT", "1");
-  ServerFixture f;
-  EXPECT_FALSE(f.srv->group_commit_enabled());
-  Client c = f.connect();
-  std::vector<Response> resp;
-  for (std::uint64_t k = 1; k <= 32; ++k) c.queue({Opcode::kPut, k, k});
-  c.flush(&resp);
-  ASSERT_EQ(resp.size(), 32u);
-  EXPECT_GE(f.srv->stats().batch_fences.load(), 1u);
-  EXPECT_EQ(f.srv->stats().group_commit_batches.load(), 0u);
-  const std::string stats = c.stats_json();
-  EXPECT_NE(stats.find("\"enabled\": false"), std::string::npos) << stats;
-}
-
-TEST(ServerLoopback, CommitWindowEnvOverride) {
-  test::ScopedEnv win("UPSL_COMMIT_WINDOW_US", "123");
-  ServerFixture f;
-  EXPECT_EQ(f.srv->commit_window_us(), 123u);
-  Client c = f.connect();
-  EXPECT_TRUE(c.put(1, 1).created);
-  EXPECT_EQ(c.get(1), std::optional<std::uint64_t>(1));
 }
 
 TEST(ServerLoopback, ReadsParkedBehindPendingAcksKeepFifoOrder) {
-  // With group commit on, a batch's responses park until the covering fence
-  // retires; later read-only batches on the same connection must queue
-  // behind the parked bytes (FIFO), and every read must see the write it
-  // followed.
-  if (std::getenv("UPSL_DISABLE_GROUP_COMMIT") != nullptr)
-    GTEST_SKIP() << "group commit disabled by env";
+  // A GET pipelined behind a PUT waits, with the PUT's ack, for the batch
+  // fence; responses must still leave in request order, and every read must
+  // see the write it followed.
   ServerFixture f(1);
-  ASSERT_TRUE(f.srv->group_commit_enabled());
   Client c = f.connect();
   std::vector<Response> resp;
   for (std::uint64_t round = 0; round < 20; ++round) {
@@ -888,39 +771,114 @@ TEST(ServerLoopback, ReadsParkedBehindPendingAcksKeepFifoOrder) {
       c.queue({Opcode::kPut, k, k + round * 100});
       c.queue({Opcode::kGet, k});
     }
+    c.queue({Opcode::kRemove, 10});
+    c.queue({Opcode::kGet, 10});
     c.flush(&resp);
-    ASSERT_EQ(resp.size(), 20u);
+    ASSERT_EQ(resp.size(), 22u);
     for (std::uint64_t k = 1; k <= 10; ++k) {
       std::uint64_t v = 0;
+      EXPECT_EQ(resp[k * 2 - 2].status,
+                round == 0 || k == 10 ? Status::kCreated : Status::kOk)
+          << "round " << round << " key " << k;
       ASSERT_EQ(resp[k * 2 - 1].status, Status::kOk);
       ASSERT_TRUE(resp[k * 2 - 1].value_u64(&v));
       EXPECT_EQ(v, k + round * 100) << "round " << round << " key " << k;
     }
+    EXPECT_EQ(resp[20].status, Status::kOk);
+    EXPECT_EQ(resp[21].status, Status::kNotFound);
   }
 }
 
 TEST(ServerLoopback, GroupCommitDrainReleasesEveryParkedAck) {
-  // A drain racing parked acks must not lose responses: the worker waits on
-  // the committer barrier and flushes everything before exiting.
+  // A SIGTERM drain racing pipelined writes on two connections: the peers
+  // never read before the drain, so their acks are still unsent (or their
+  // frames still unread) when it starts. Every ack must arrive before the
+  // server closes, and every acked write must survive a crash.
   ServerFixture f(2);
-  Client a = f.connect();
-  Client b = f.connect();
-  std::vector<Response> ra, rb;
-  for (std::uint64_t k = 1; k <= 100; ++k) {
-    a.queue({Opcode::kPut, k, k});
-    b.queue({Opcode::kPut, 1000 + k, k});
+  constexpr std::uint64_t kN = 100;
+  int fds[2];
+  for (int i = 0; i < 2; ++i) {
+    fds[i] = raw_connect(f.srv->port());
+    ASSERT_GE(fds[i], 0);
+    // One PING round trip first: a worker has adopted the connection, so the
+    // drain cannot find it still in the listen backlog.
+    std::vector<std::uint8_t> ping;
+    encode_request({Opcode::kPing}, ping);
+    ASSERT_EQ(::send(fds[i], ping.data(), ping.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(ping.size()));
+    ASSERT_EQ(read_responses(fds[i], 1).size(), 1u);
+    std::vector<std::uint8_t> req;
+    for (std::uint64_t k = 1; k <= kN; ++k)
+      encode_request(
+          {Opcode::kPut, static_cast<std::uint64_t>(i) * 1000 + k, k}, req);
+    ASSERT_EQ(::send(fds[i], req.data(), req.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(req.size()));
   }
-  a.flush(&ra);
-  b.flush(&rb);
-  ASSERT_EQ(ra.size(), 100u);
-  ASSERT_EQ(rb.size(), 100u);
-  f.stop_server();
+  Server::install_signal_handlers();
+  std::raise(SIGTERM);
+  for (int i = 0; i < 2; ++i) {
+    const std::vector<Response> resp = read_responses(fds[i]);
+    ::close(fds[i]);
+    EXPECT_EQ(resp.size(), kN) << "connection " << i;
+    for (const Response& r : resp) EXPECT_EQ(r.status, Status::kCreated);
+  }
+  f.srv->wait();
+  Server::reset_signal_stop_for_testing();
+  f.srv.reset();
   f.harness.crash_and_reopen();
-  for (std::uint64_t k = 1; k <= 100; ++k) {
+  for (std::uint64_t k = 1; k <= kN; ++k) {
     EXPECT_EQ(f.harness.store().search(k), std::optional<std::uint64_t>(k));
     EXPECT_EQ(f.harness.store().search(1000 + k),
               std::optional<std::uint64_t>(k));
   }
+}
+
+TEST(ServerLoopback, AckedPipelinedPutsSurviveDiscardCrash) {
+  // Acked => durable through the batch fence alone: pipelined PUTs (fresh
+  // keys, then in-place overwrites) from several connections on a
+  // crash-tracked pool, then a power cut that drops every line not
+  // explicitly flushed. The drain before it has nothing left to execute, so
+  // only the batch fences stand between an ack and its write.
+  ServerFixture f(2);
+  constexpr int kClients = 3;
+  constexpr std::uint64_t kKeys = 200;
+  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> acked(
+      kClients);
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      Client c;
+      ASSERT_TRUE(c.connect("127.0.0.1", f.srv->port()));
+      std::vector<Response> resp;
+      const std::uint64_t base = static_cast<std::uint64_t>(t + 1) * 10000;
+      for (std::uint64_t round = 1; round <= 3; ++round) {
+        for (std::uint64_t k = 0; k < kKeys; ++k)
+          c.queue({Opcode::kPut, base + k, round * 100000 + k});
+        c.flush(&resp);
+        ASSERT_EQ(resp.size(), kKeys);
+        for (std::uint64_t k = 0; k < kKeys; ++k) {
+          ASSERT_EQ(resp[k].status,
+                    round == 1 ? Status::kCreated : Status::kOk);
+          acked[static_cast<std::size_t>(t)].emplace_back(base + k,
+                                                          round * 100000 + k);
+        }
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+
+  f.stop_server();
+  f.harness.crash_and_reopen(pmem::CrashMode::kDiscardUnflushed, 7);
+
+  std::unordered_map<std::uint64_t, std::uint64_t> last;
+  for (const auto& writes : acked)
+    for (const auto& [k, v] : writes) last[k] = v;
+  ASSERT_EQ(last.size(), kClients * kKeys);
+  auto& store = f.harness.store();
+  for (const auto& [k, v] : last)
+    EXPECT_EQ(store.search(k), std::optional<std::uint64_t>(v))
+        << "acked PUT of key " << k << " lost or torn";
+  EXPECT_NO_THROW(store.check_invariants());
 }
 
 // ---- sharded server -------------------------------------------------------
