@@ -297,7 +297,7 @@ int main() {
   sopts.workers = 4;
   bench::UPSLShardedAdapter adapter(
       records, shards, 64,
-      /*max_threads=*/sopts.first_thread_id + shards * sopts.workers + 4);
+      /*max_threads=*/sopts.first_thread_id + sopts.workers + 4);
   // Preload in-process (cheaper than the wire; stores must be live before
   // the sockets anyway).
   std::uint64_t v = 1;
@@ -347,12 +347,12 @@ int main() {
            long_clients, r, &all_ok);
   }
 
-  // Acceptance gate (same arming rule as bench_shard's scaling gate):
-  // the 2x entries/s and TTFC-p99 targets are contention/streaming
-  // effects that need real parallelism — on a small box the E mix is
-  // pure loopback RTT and both modes ship one frame per short scan, so
-  // the ratio is meaningless there. Armed at >=16 clients on >=8 cores
-  // with >=20000 ops; below that the ratios are still recorded.
+  // Acceptance gate: the 2x entries/s and TTFC-p99 targets are
+  // contention/streaming effects that need real parallelism — on a small
+  // box the E mix is pure loopback RTT and both modes ship one frame per
+  // short scan, so the ratio is meaningless there. Armed at >=16 clients
+  // on >=8 cores with >=20000 ops; below that the ratios are still
+  // recorded.
   const auto rate = [](const MixResult& r) {
     return r.seconds > 0
                ? static_cast<double>(r.scan_entries) / r.seconds

@@ -248,13 +248,13 @@ int main() {
     ThreadRegistry::instance().bind(0);
     // UPSL_SHARDS legs self-host the sharded server; each member store is
     // sized for its per-shard share of the key space, and every shard must
-    // have thread slots for every worker id (routed ops run anywhere).
+    // have thread slots for every worker id (any worker serves any shard).
     server::ServerOptions sopts;
-    sopts.port = 0;  // ephemeral (per shard)
+    sopts.port = 0;  // ephemeral
     sopts.workers = 4;
     target.adapter = std::make_unique<bench::UPSLShardedAdapter>(
         records, shards, 64,
-        /*max_threads=*/sopts.first_thread_id + shards * sopts.workers + 4);
+        /*max_threads=*/sopts.first_thread_id + sopts.workers + 4);
     target.server =
         std::make_unique<server::Server>(target.adapter->set(), sopts);
     if (!target.server->start()) {
@@ -263,7 +263,7 @@ int main() {
     }
     target.host = "127.0.0.1";
     target.port = target.server->port();
-    std::printf("self-hosted server on 127.0.0.1:%u (%u shard%s x 4 workers)\n",
+    std::printf("self-hosted server on 127.0.0.1:%u (%u shard%s, 4 workers)\n",
                 target.port, shards, shards == 1 ? "" : "s");
   }
 

@@ -300,7 +300,7 @@ int command_loop(CliBackend& be) {
         std::uint64_t key = 0;
         if (!(is >> cid >> seq))
           throw std::invalid_argument("resolve <client_id> <seq> [key]");
-        is >> key;  // optional shard-routing key; 0 = arrival shard
+        is >> key;  // optional shard-routing key; 0 = shard 0
         const ResolveAnswer a = be.resolve(cid, seq, key);
         switch (a.state) {
           case 0:

@@ -1,30 +1,22 @@
 // Key-space shard map for the horizontally sharded server (docs/server.md).
 //
 // A sharded deployment partitions the key space across N fully independent
-// UPSkipList stores ("shards"), each with its own pool set, allocator,
-// DRAM-index rebuild, and worker group. The mapping key -> shard is a fixed
-// hash: stateless, identical on every node of the system, and part of the
-// wire contract — the server's dispatch layer and the header-only client
-// both compute it, so a routed client hits the owning shard directly while
-// an unrouted (pre-sharding) client is still served correctly via in-process
-// forwarding.
+// UPSkipList stores ("shards"), each with its own pool set, allocator and
+// DRAM-index rebuild. The mapping key -> shard is a fixed hash: stateless,
+// and what the server routes every key by. Changing the mix or reduction
+// would route existing keys to shards that do not hold them.
 //
 // The hash is a full-avalanche 64-bit mix (splitmix64 finalizer) reduced
 // modulo the shard count. Sequential keys — the common YCSB and test
 // pattern — therefore spread uniformly instead of landing on one shard.
 // The map is persisted per shard in the store root (shard_count,
 // shard_index), so reopening a shard set validates that the pools on disk
-// actually form the topology the server is about to announce.
+// actually form the topology the server is about to serve.
 #pragma once
 
 #include <cstdint>
 
 namespace upsl {
-
-/// Identifies the fixed-hash map below on the wire (TOPOLOGY verb). Bump if
-/// the mix or reduction ever changes — a client with a different map would
-/// route keys to the wrong shard.
-inline constexpr std::uint32_t kShardHashKindFixed = 1;
 
 /// splitmix64 finalizer: full avalanche, so modulo reduction is unbiased
 /// enough for any realistic shard count.

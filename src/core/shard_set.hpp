@@ -2,12 +2,11 @@
 //
 // Horizontal sharding (ROADMAP item 1): the key space is partitioned by the
 // fixed hash in common/shardmap.hpp across `shard_count` fully independent
-// stores — each with its own pool set, chunk/block allocators, DRAM-index
-// rebuild, and (in the server) its own worker group.
-// Nothing is shared between shards but the process: no cross-shard locks,
-// no shared allocator state, no shared epoch. That is what makes sharding
-// the NUMA-scaling lever — each shard's pools and workers can live on one
-// (virtual) NUMA node, as §5.1.2's per-pool placement intends.
+// stores — each with its own pool set, chunk/block allocators and
+// DRAM-index rebuild. Nothing is shared between shards but the process: no
+// cross-shard locks, no shared allocator state, no shared epoch. In the
+// server, shards are pure data partitions: one worker pool serves them all
+// and routes each key to its owner (docs/server.md).
 //
 // Durability of the topology: every member store persists (shard_count,
 // shard_index) in its root. open() re-validates that the pool sets on disk

@@ -13,11 +13,8 @@
 // refused/reset, short reads, malformed responses); kNotFound is not an
 // error, it is a result.
 //
-// Against a sharded server, a plain Client pointed at any shard's port still
-// works (the server routes in-process); ShardedClient below fetches the
-// shard map once via TOPOLOGY and routes each key to its owning shard
-// locally — saving the cross-shard hop — while pipelining per shard and
-// reassembling responses in submission order.
+// A sharded server listens on one port and routes every key to its owning
+// shard itself, so the same Client serves any shard count.
 #pragma once
 
 #include <arpa/inet.h>
@@ -30,13 +27,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
-#include <iterator>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "common/shardmap.hpp"
 #include "server/protocol.hpp"
 
 namespace upsl::server {
@@ -235,7 +230,7 @@ class Client {
   }
 
   /// Queries the durable result slot for one (client_id, seq); `key` routes
-  /// to the owning shard (0 = the connected shard).
+  /// to the shard that owns it (0 = shard 0).
   Response::Resolve resolve(std::uint64_t client_id, std::uint64_t seq,
                             std::uint64_t key = 0) {
     Request req{Opcode::kResolve, key, 0, 0, seq, client_id};
@@ -399,17 +394,6 @@ class Client {
     return json;
   }
 
-  /// Fetches the server's shard map: shard count, hash kind, and the port
-  /// each shard listens on (same host). ShardedClient uses this to route.
-  Response::Topology topology() {
-    const Response r = roundtrip({Opcode::kTopology});
-    expect_ok(r, "TOPOLOGY");
-    Response::Topology topo;
-    if (!r.topology(&topo))
-      throw std::runtime_error("upsl client: malformed TOPOLOGY payload");
-    return topo;
-  }
-
   /// Runs the server-side structural check. Returns the JSON report; *ok
   /// (when non-null) says whether the check passed. Both the pass and the
   /// fail report come back as a blob — only a malformed frame throws.
@@ -535,244 +519,6 @@ class Client {
   std::uint64_t seq_ = 0;  // last issued seq (never reused, even replayed)
   std::vector<QueuedOp> inflight_;    // one entry per currently queued frame
   std::vector<QueuedOp> unresolved_;  // tail of the last failed flush()
-};
-
-/// Topology-aware client: one Client per shard, each key routed locally by
-/// the fixed hash the TOPOLOGY verb announced. One-shot ops go straight to
-/// the owning shard; queue()/flush() pipelines per shard and reassembles
-/// the responses in submission order, so callers see exactly the Client
-/// contract with the cross-shard hops removed.
-///
-/// Key-less verbs (SCAN, STATS, VALIDATE, PING) go to shard 0 — any shard
-/// answers them for the whole store (SCAN is merged server-side).
-class ShardedClient {
- public:
-  ShardedClient() = default;
-  ShardedClient(const ShardedClient&) = delete;
-  ShardedClient& operator=(const ShardedClient&) = delete;
-
-  /// Connects to `port` (any shard), fetches the shard map, then opens one
-  /// connection per shard. False on connect failure; throws on a malformed
-  /// or unsupported topology. Reconnecting against the same topology reuses
-  /// the per-shard Client objects, so their detectable-session state (seq
-  /// counters, unresolved ops) survives for the resolve path.
-  bool connect(const std::string& host, std::uint16_t port) {
-    Client probe;
-    if (!probe.connect(host, port)) return false;
-    topo_ = probe.topology();
-    if (topo_.hash_kind != kShardHashKindFixed)
-      throw std::runtime_error("upsl client: unknown shard hash kind " +
-                               std::to_string(topo_.hash_kind));
-    if (clients_.size() != topo_.shard_count)
-      clients_ = std::vector<Client>(topo_.shard_count);
-    order_.clear();
-    for (std::uint32_t s = 0; s < topo_.shard_count; ++s)
-      if (!clients_[s].connect(host, topo_.ports[s])) {
-        close();
-        return false;
-      }
-    return true;
-  }
-
-  bool connected() const { return !clients_.empty(); }
-
-  void close() {
-    clients_.clear();
-    order_.clear();
-    topo_ = {};
-  }
-
-  std::uint32_t shard_count() const { return topo_.shard_count; }
-  const Response::Topology& topology() const { return topo_; }
-
-  /// The shard that owns `key`, per the announced map.
-  std::uint32_t shard_of(std::uint64_t key) const {
-    return shard_of_key(key, topo_.shard_count);
-  }
-
-  /// Direct access to one shard's connection (tests, admin fan-out).
-  Client& shard(std::uint32_t s) { return clients_[s]; }
-
-  // ---- pipelining (same contract as Client::queue/flush) ------------------
-
-  void queue(const Request& req) {
-    const std::uint32_t s = route(req);
-    clients_[s].queue(req);
-    order_.push_back(s);
-  }
-
-  std::size_t queued() const { return order_.size(); }
-
-  /// Flushes every shard's pipeline and reassembles the responses in the
-  /// order the requests were queued. Each per-shard stream is FIFO, so the
-  /// i-th queued request on shard s is shard s's i-th response.
-  ///
-  /// Failure contract (mirrors Client::flush, per shard): every shard is
-  /// flushed even when one fails — a shard skipped after another's error
-  /// would strand its queued ops unsent, unacked, and invisible to the
-  /// resolve path. A failed shard parks its unanswered tail in that
-  /// Client's unresolved_ops() (resolve_unresolved() covers the union).
-  /// *out receives every response that did arrive, in submission order
-  /// with the lost ones absent — the requests missing from *out are
-  /// exactly those in the per-shard unresolved lists. The aggregate
-  /// PipelineError carries acked = responses delivered, unresolved = ops
-  /// parked for resolution, and the queue is left empty either way.
-  void flush(std::vector<Response>* out) {
-    const std::size_t n = order_.size();
-    std::vector<std::vector<Response>> per_shard(clients_.size());
-    std::size_t failures = 0;
-    std::size_t unresolved = 0;
-    std::string first_error;
-    for (std::uint32_t s = 0; s < clients_.size(); ++s) {
-      if (clients_[s].queued() == 0) continue;
-      try {
-        clients_[s].flush(&per_shard[s]);
-      } catch (const PipelineError& e) {
-        // The shard's acked prefix is already in per_shard[s]; its tail
-        // sits in that Client's unresolved_ops() for the resolve path.
-        if (failures++ == 0) first_error = e.what();
-        unresolved += e.unresolved;
-      }
-    }
-    out->clear();
-    out->reserve(n);
-    std::vector<std::size_t> cursor(clients_.size(), 0);
-    for (const std::uint32_t s : order_) {
-      const std::size_t i = cursor[s]++;
-      if (i < per_shard[s].size()) out->push_back(std::move(per_shard[s][i]));
-    }
-    order_.clear();
-    if (failures > 0)
-      throw PipelineError("upsl client: " + std::to_string(failures) +
-                              " shard pipeline(s) failed; first: " +
-                              first_error,
-                          n - unresolved, unresolved);
-  }
-
-  // ---- one-shot operations (forwarded to the owning shard) ----------------
-
-  bool ping() { return clients_[0].ping(); }
-
-  std::optional<std::uint64_t> get(std::uint64_t key) {
-    return clients_[shard_of(key)].get(key);
-  }
-
-  Client::PutResult put(std::uint64_t key, std::uint64_t value) {
-    return clients_[shard_of(key)].put(key, value);
-  }
-
-  std::optional<std::uint64_t> remove(std::uint64_t key) {
-    return clients_[shard_of(key)].remove(key);
-  }
-
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> scan(
-      std::uint64_t lo, std::uint64_t hi, std::uint32_t limit = 0) {
-    return clients_[0].scan(lo, hi, limit);
-  }
-
-  std::size_t scan_stream(
-      std::uint64_t lo, std::uint64_t hi,
-      const std::function<
-          bool(const std::vector<std::pair<std::uint64_t, std::uint64_t>>&)>&
-          cb,
-      std::uint32_t limit = 0, std::uint32_t chunk = 0) {
-    return clients_[0].scan_stream(lo, hi, cb, limit, chunk);
-  }
-
-  std::string stats_json() { return clients_[0].stats_json(); }
-
-  std::string validate_json(bool* ok = nullptr) {
-    return clients_[0].validate_json(ok);
-  }
-
-  // ---- detectable sessions ------------------------------------------------
-
-  /// Opens the session on every shard (each connection HELLOs the same
-  /// client identity; slots live per shard). Returns shard 0's epoch.
-  std::uint64_t hello(std::uint64_t client_id) {
-    std::uint64_t epoch0 = 0;
-    for (std::uint32_t s = 0; s < clients_.size(); ++s) {
-      const std::uint64_t e = clients_[s].hello(client_id);
-      if (s == 0) epoch0 = e;
-    }
-    return epoch0;
-  }
-
-  /// Detectable mutations route by key; each shard connection stamps seqs
-  /// from its own counter, keeping every per-shard stream monotonic.
-  void queue_dput(std::uint64_t key, std::uint64_t value) {
-    const std::uint32_t s = shard_of(key);
-    clients_[s].queue_dput(key, value);
-    order_.push_back(s);
-  }
-  void queue_dupdate(std::uint64_t key, std::uint64_t value) {
-    const std::uint32_t s = shard_of(key);
-    clients_[s].queue_dupdate(key, value);
-    order_.push_back(s);
-  }
-  void queue_dremove(std::uint64_t key) {
-    const std::uint32_t s = shard_of(key);
-    clients_[s].queue_dremove(key);
-    order_.push_back(s);
-  }
-
-  /// Replays an op from resolve_unresolved() under its original seq, on the
-  /// shard that owns its key (mirrors Client::requeue, keeping the
-  /// submission-order bookkeeping for the next flush()).
-  void requeue(const Client::QueuedOp& op) {
-    const std::uint32_t s = shard_of(op.key);
-    clients_[s].requeue(op);
-    order_.push_back(s);
-  }
-
-  Client::PutResult dput(std::uint64_t key, std::uint64_t value) {
-    return clients_[shard_of(key)].dput(key, value);
-  }
-
-  std::optional<std::uint64_t> dremove(std::uint64_t key) {
-    return clients_[shard_of(key)].dremove(key);
-  }
-
-  Response::Resolve resolve(std::uint64_t client_id, std::uint64_t seq,
-                            std::uint64_t key) {
-    return clients_[shard_of(key)].resolve(client_id, seq, key);
-  }
-
-  /// Reconnect-and-resolve across the fleet: after a reconnect() + hello(),
-  /// collects each shard connection's unresolved detectable ops and answers
-  /// them from the shard's session table. Order within a shard is send
-  /// order; shards are concatenated in shard order.
-  std::vector<Client::ResolvedOp> resolve_unresolved() {
-    std::vector<Client::ResolvedOp> out;
-    for (auto& c : clients_) {
-      auto part = c.resolve_unresolved();
-      out.insert(out.end(), std::make_move_iterator(part.begin()),
-                 std::make_move_iterator(part.end()));
-    }
-    return out;
-  }
-
- private:
-  std::uint32_t route(const Request& req) const {
-    switch (req.op) {
-      case Opcode::kGet:
-      case Opcode::kPut:
-      case Opcode::kUpdate:
-      case Opcode::kRemove:
-      case Opcode::kDPut:
-      case Opcode::kDUpdate:
-      case Opcode::kDRemove:
-        return shard_of(req.key);
-      case Opcode::kResolve:
-        return req.key == 0 ? 0 : shard_of(req.key);
-      default:
-        return 0;  // key-less verbs: any shard answers for the whole store
-    }
-  }
-
-  Response::Topology topo_;
-  std::vector<Client> clients_;
-  std::vector<std::uint32_t> order_;  // owning shard of each queued request
 };
 
 /// Parses "host:port" (e.g. "127.0.0.1:7707"). Returns false on bad input.

@@ -209,6 +209,8 @@ TEST(Crash, SplitRecoveryErasesCopiesTheNewNodeMovedOn) {
   // recovery must still erase every copy. Keys are spaced 1000 apart so
   // fresh keys fit into every gap, and the gaps fill top-down so N's range
   // fills before anything traverses P. Each skip interrupts another split.
+  // The scenario needs the DRAM index, so pin it on under the towers leg.
+  test::ScopedEnv pin_dram("UPSL_DISABLE_DRAM_INDEX", "0");
   for (std::uint64_t skip = 0; skip < 16; ++skip) {
     SCOPED_TRACE("skip=" + std::to_string(skip));
     StoreHarness h(small_options(/*keys_per_node=*/4, /*max_height=*/10));
