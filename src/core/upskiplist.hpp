@@ -243,6 +243,11 @@ class UPSkipList {
   std::uint64_t epoch() const { return pmem::pm_load(*epoch_word_); }
   const NodeLayout& layout() const { return layout_; }
   alloc::BlockAllocator& allocator() { return *block_alloc_; }
+  /// ThreadRegistry ids below this have an allocation arena; a thread bound
+  /// past it cannot allocate. Fixed by Options::max_threads at create time.
+  std::uint32_t thread_capacity() const {
+    return block_alloc_->arenas_per_pool() * block_alloc_->num_pools();
+  }
   std::uint32_t num_pools() const {
     return static_cast<std::uint32_t>(pools_.size());
   }
